@@ -22,12 +22,18 @@ calling them in-process?  The bench:
   reports ``overhead_ratio`` = direct rps / serving rps — the
   machine-independent number the regression gate watches (absolute
   seconds differ per machine; the overhead of the serving stack over
-  direct calls should not).
+  direct calls should not);
+* replays a prefix of the workload as a lone client (concurrency 1,
+  closed loop) against a fresh engine and reports its p50 and
+  ``idle_flush_ratio`` = idle flushes / flushes.  A lone request never
+  has company, so every one of its flushes must come from the idle
+  rule rather than the batch window — a deterministic count.
 
 Results go to ``BENCH_serving.json`` at the repo root.  The built-in
-acceptance bar — micro-batch occupancy above 1.0, i.e. concurrent
-same-circuit requests actually coalesced into shared kernel flushes —
-is asserted unless ``SERVING_BENCH_NO_ASSERT=1``.
+acceptance bars — micro-batch occupancy above 1.0 in the storm, i.e.
+concurrent same-circuit requests actually coalesced into shared kernel
+flushes, and an idle-flush ratio of exactly 1.0 in the lone leg — are
+asserted unless ``SERVING_BENCH_NO_ASSERT=1``.
 
 Smoke mode (``SERVING_BENCH_SMOKE=1``, used by CI): fewer workers and
 rounds.  Runs on the scalar backend too (no numpy required); the
@@ -70,6 +76,7 @@ VARIABLES = 16
 CIRCUITS = 6 if SMOKE else 12
 CONCURRENCY = 8 if SMOKE else 32
 ROUNDS = 6 if SMOKE else 40
+LONE_REQUESTS = 48 if SMOKE else 320
 WHAT_IF_POINTS = 5
 SWEEP_SCENARIOS = 8
 SEED = 20260808
@@ -124,8 +131,8 @@ def build_requests(lineages):
     return requests
 
 
-async def drive(client, requests, lineages):
-    semaphore = asyncio.Semaphore(CONCURRENCY)
+async def drive(client, requests, lineages, concurrency=CONCURRENCY):
+    semaphore = asyncio.Semaphore(concurrency)
 
     async def one(spec):
         kind, lineage, payload = spec
@@ -201,11 +208,36 @@ def main() -> int:
         direct_pass(cache, requests, lineages)
         direct_seconds = time.perf_counter() - started
 
+        # The lone client: same store (kernels already lowered), a
+        # fresh engine so its counters and response cache start empty.
+        lone = ServingEngine(
+            stores,
+            ConfidenceEngine(registry),
+            ServingConfig(max_inflight=CONCURRENCY),
+        )
+        lone_requests = requests[:LONE_REQUESTS]
+        started = time.perf_counter()
+        asyncio.run(
+            drive(
+                ASGIClient(ServingApp(lone)),
+                lone_requests,
+                lineages,
+                concurrency=1,
+            )
+        )
+        lone_seconds = time.perf_counter() - started
+
     stats = serving.stats
     latency = stats.latency_percentiles()
     serving_rps = len(requests) / serving_seconds
     direct_rps = len(requests) / direct_seconds
     occupancy = stats.occupancy()
+    lone_latency = lone.stats.latency_percentiles()
+    idle_ratio = (
+        lone.stats.idle_flushes / lone.stats.batches
+        if lone.stats.batches
+        else 0.0
+    )
     results = {
         "config": {
             "smoke": SMOKE,
@@ -225,6 +257,17 @@ def main() -> int:
             "shed": stats.shed,
             "engine_fallbacks": stats.engine_fallbacks,
             "max_inflight": stats.max_inflight,
+            "idle_flushes": stats.idle_flushes,
+        },
+        "lone": {
+            "requests": len(lone_requests),
+            "throughput_rps": len(lone_requests) / lone_seconds,
+            "p50_ms": lone_latency["p50_ms"],
+            "p99_ms": lone_latency["p99_ms"],
+            "batches": lone.stats.batches,
+            "idle_flushes": lone.stats.idle_flushes,
+            "idle_flush_ratio": idle_ratio,
+            "max_inflight": lone.stats.max_inflight,
         },
     }
     with open(OUTPUT, "w") as handle:
@@ -238,12 +281,23 @@ def main() -> int:
         f"occupancy {occupancy:.2f}); direct: {direct_rps:.0f} req/s "
         f"-> overhead {totals['overhead_ratio']:.2f}x"
     )
+    print(
+        f"lone client: p50 {lone_latency['p50_ms']:.2f} ms, "
+        f"{lone.stats.idle_flushes}/{lone.stats.batches} flushes idle"
+    )
     print(f"results -> {OUTPUT}")
 
     if ASSERT_OCCUPANCY and occupancy <= 1.0:
         print(
             f"FAIL: micro-batch occupancy {occupancy:.2f} <= 1.0 — "
             "concurrent same-circuit requests are not coalescing",
+            file=sys.stderr,
+        )
+        return 1
+    if ASSERT_OCCUPANCY and idle_ratio != 1.0:
+        print(
+            f"FAIL: lone-client idle-flush ratio {idle_ratio:.3f} != 1.0 "
+            "— a request with no company waited out the batch window",
             file=sys.stderr,
         )
         return 1

@@ -41,6 +41,11 @@ measures inside a single run:
   fleet check also verifies more than one worker actually served and
   that per-worker throughput did not collapse by ``SLACK×`` against
   the committed baseline.
+* ``idle_flush_ratio`` (serving, lone-client leg): a request with no
+  company must flush on the idle rule instead of waiting out the batch
+  window.  With one client there is never company, so every flush of
+  that leg must be idle — a deterministic count, held exactly at 1.0.
+  The storm's occupancy > 1 bar stays alongside it.
 
 ``SLACK`` is deliberately generous (hosted runners are noisy, smoke
 workloads are small): the gate exists to catch *order-of-magnitude*
@@ -293,15 +298,23 @@ def check_serving_overhead(failures: list) -> None:
     totals = smoke["totals"]
     smoke_overhead = totals["overhead_ratio"]
     occupancy = totals["batch_occupancy"]
+    lone = smoke["lone"]
+    all_idle = lone["batches"] > 0 and (
+        lone["idle_flushes"] == lone["batches"]
+    )
     verdict = (
-        "ok" if smoke_overhead <= threshold and occupancy > 1.0 else "FAIL"
+        "ok"
+        if smoke_overhead <= threshold and occupancy > 1.0 and all_idle
+        else "FAIL"
     )
     print(
         f"[serving] overhead vs direct calls: smoke "
         f"{smoke_overhead:.1f}x (p50 {totals['p50_ms']:.2f} ms, p99 "
         f"{totals['p99_ms']:.2f} ms, {totals['throughput_rps']:.0f} "
         f"req/s, occupancy {occupancy:.2f}), baseline "
-        f"{baseline_overhead:.1f}x, threshold <= {threshold:.1f}x "
+        f"{baseline_overhead:.1f}x, threshold <= {threshold:.1f}x; "
+        f"lone client p50 {lone['p50_ms']:.2f} ms, "
+        f"{lone['idle_flushes']}/{lone['batches']} flushes idle "
         f"... {verdict}"
     )
     if smoke_overhead > threshold:
@@ -314,6 +327,12 @@ def check_serving_overhead(failures: list) -> None:
         failures.append(
             f"serving micro-batching stopped coalescing: occupancy "
             f"{occupancy:.2f} <= 1.0"
+        )
+    if not all_idle:
+        failures.append(
+            f"lone-client requests waited out the batch window: "
+            f"{lone['idle_flushes']}/{lone['batches']} flushes idle "
+            "(every flush must be idle with no concurrent request)"
         )
 
 

@@ -7,7 +7,9 @@ stores through a :class:`CircuitStoreService` (immutable snapshots,
 stat-based hot reload), and a :class:`ServingEngine` answers
 ``evaluate`` / ``bounds`` / ``gradients`` / ``what_if`` / ``sweep`` /
 ``top_k`` requests against them — micro-batching concurrent
-same-circuit work into single kernel sweeps, bounding concurrency per
+same-circuit work into single kernel sweeps (a request with no company
+flushes at once instead of waiting out the window), bounding
+concurrency per
 tenant, enforcing deadlines through :mod:`repro.core.clock`, and
 degrading gracefully (cold lineage → attached engine; overload →
 shed with a structured ``overloaded`` error).
@@ -16,7 +18,7 @@ Front-ends: :class:`ServingApp` (stdlib ASGI 3, JSON wire codec in
 :mod:`repro.serving.codec`), :func:`serve` (uvicorn, optional extra),
 and the in-process :class:`ServingClient` / :class:`ASGIClient`.
 :class:`ServingStats` reports latency percentiles, batch occupancy,
-store and response-cache hit/miss traffic, shed counts, and quota
+idle flushes, store and response-cache hit/miss traffic, shed counts, and quota
 rejections.
 
 Fleet scale-out: :class:`ServingFleet` runs one serving worker process

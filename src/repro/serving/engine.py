@@ -24,7 +24,11 @@ kind)`` bucket that flushes after ``batch_window_seconds`` (or at
 :func:`~repro.circuits.sweep_bounds` call, i.e. one kernel
 ``evaluate_batch`` on the numpy backend.  Multi-scenario operations
 (``what_if``, ``sweep``, ``top_k``) enqueue all their rows at once, so
-batch occupancy exceeds 1 even for a single client.  Sweep results are
+batch occupancy exceeds 1 even for a single client.  The window only
+pays off when company can arrive: when a request parks on its rows
+while it is the only request that has been running since the buckets
+last drained, every pending bucket flushes on the next event-loop
+iteration instead (``ServingStats.idle_flushes``).  Sweep results are
 bit-identical to the scalar path by the sweep module's own contract,
 so batching is a latency decision, never a semantics one.
 
@@ -92,8 +96,12 @@ class ServingConfig:
 
     ``max_inflight`` requests run concurrently; up to ``queue_limit``
     more wait; anything beyond is shed immediately.  ``batch_window_
-    seconds`` is how long the first row of a micro-batch waits for
-    company before flushing (0 flushes synchronously per row).
+    seconds`` is the most the first row of a micro-batch waits for
+    company under concurrency.  A request that has run alone since the
+    buckets last drained does not wait: once it parks on its rows they
+    flush on the next event-loop iteration.  A window of 0 still
+    coalesces the rows one request enqueues in the same tick (a
+    ``what_if`` flushes once, not per row).
     """
 
     max_inflight: int = 64
@@ -142,7 +150,17 @@ class _Bucket:
 
 
 class _MicroBatcher:
-    """Coalesces same-circuit rows into single batched sweep calls."""
+    """Coalesces same-circuit rows into single batched sweep calls.
+
+    Besides the buckets it counts the requests running inside the
+    engine's semaphores (:meth:`enter` / :meth:`leave`), how many of
+    them are parked on row futures (:meth:`wait`), and the most that
+    ran at once since the buckets last drained.  When every running
+    request is parked and that peak is at most one, no company can
+    arrive before the window ends, so the buckets flush on the next
+    loop iteration.  A higher peak keeps the timed window: concurrent
+    traffic reaches the engine in waves that look idle for a moment.
+    """
 
     def __init__(
         self,
@@ -159,6 +177,33 @@ class _MicroBatcher:
         self.max_batch = max_batch
         self.vectorized = vectorized
         self.buckets: Dict[Tuple[int, str], _Bucket] = {}
+        self.running = 0
+        self.parked = 0
+        self.peak = 0
+
+    def enter(self) -> None:
+        self.running += 1
+        if self.running > self.peak:
+            self.peak = self.running
+
+    def leave(self) -> None:
+        self.running -= 1
+
+    async def wait(self, rows: "asyncio.Future[Any]") -> Any:
+        """Park the calling request on ``rows`` (a row future or a
+        gather of them), scheduling the idle check when it is the last
+        running request to park."""
+        self.parked += 1
+        if self.parked == self.running:
+            self.loop.call_soon(self._flush_if_idle)
+        try:
+            return await rows
+        finally:
+            self.parked -= 1
+
+    def _flush_if_idle(self) -> None:
+        if self.peak <= 1 and self.parked == self.running:
+            self.flush_all(idle=True)
 
     def submit(
         self,
@@ -189,13 +234,15 @@ class _MicroBatcher:
             self._flush(key)
         return future
 
-    def _flush(self, key: Tuple[int, str]) -> None:
+    def _flush(self, key: Tuple[int, str], idle: bool = False) -> None:
         bucket = self.buckets.pop(key, None)
         if bucket is None:
             return
         if bucket.handle is not None:
             bucket.handle.cancel()
-        self.stats.record_batch(len(bucket.futures))
+        if not self.buckets:
+            self.peak = self.running
+        self.stats.record_batch(len(bucket.futures), idle=idle)
         try:
             if bucket.kind == "bounds":
                 results: List[Any] = [
@@ -224,9 +271,9 @@ class _MicroBatcher:
             if not future.done():
                 future.set_result(result)
 
-    def flush_all(self) -> None:
+    def flush_all(self, idle: bool = False) -> None:
         for key in list(self.buckets):
-            self._flush(key)
+            self._flush(key, idle)
 
 
 class ServingEngine:
@@ -318,19 +365,24 @@ class ServingEngine:
                 },
             )
         self._ensure_loop_state()
+        batcher = self._batcher
+        assert self._global_sem is not None and batcher is not None
         self._pending += 1
         self.stats.enter_inflight()
         try:
-            assert self._global_sem is not None
             async with self._global_sem:
                 async with self._tenant_sem(tenant):
-                    self.stats.record_tenant(tenant)
-                    deadline = self._deadline(request, start)
-                    self._check_deadline(deadline, "queued")
-                    handler: Callable[..., Any] = getattr(
-                        self, f"_op_{op}"
-                    )
-                    response = await handler(request, deadline)
+                    batcher.enter()
+                    try:
+                        self.stats.record_tenant(tenant)
+                        deadline = self._deadline(request, start)
+                        self._check_deadline(deadline, "queued")
+                        handler: Callable[..., Any] = getattr(
+                            self, f"_op_{op}"
+                        )
+                        response = await handler(request, deadline)
+                    finally:
+                        batcher.leave()
             response["op"] = op
             self.stats.record_request(op, clock.monotonic() - start)
             return response
@@ -528,7 +580,9 @@ class ServingEngine:
         deadline: Optional[float],
     ) -> Any:
         assert self._batcher is not None
-        result = await self._batcher.submit(circuit, overrides, kind)
+        result = await self._batcher.wait(
+            self._batcher.submit(circuit, overrides, kind)
+        )
         self._check_deadline(deadline, "awaiting the batched sweep")
         return result
 
@@ -544,7 +598,7 @@ class ServingEngine:
             self._batcher.submit(circuit, overrides, kind)
             for overrides in scenario_list
         ]
-        results = await asyncio.gather(*futures)
+        results = await self._batcher.wait(asyncio.gather(*futures))
         self._check_deadline(deadline, "awaiting the batched sweep")
         return list(results)
 
@@ -840,7 +894,7 @@ class ServingEngine:
             futures.append(
                 self._batcher.submit(circuit, overrides, "values")
             )
-        values = list(await asyncio.gather(*futures))
+        values = list(await self._batcher.wait(asyncio.gather(*futures)))
         self._check_deadline(deadline, "awaiting the batched sweep")
         ranked = sorted(
             range(len(values)), key=lambda i: (-values[i], i)

@@ -787,6 +787,7 @@ class FleetClient(_ClientBase):
             "quota_rejections": 0.0,
             "batches": 0.0,
             "batched_rows": 0.0,
+            "idle_flushes": 0.0,
         }
         summaries = await self.stats()
         for summary in summaries:

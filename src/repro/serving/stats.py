@@ -50,6 +50,7 @@ class ServingStats:
         "latency_dropped",
         "batches",
         "batched_rows",
+        "idle_flushes",
         "store_hits",
         "overlay_hits",
         "store_misses",
@@ -80,6 +81,9 @@ class ServingStats:
         #: concurrent requests into shared sweeps).
         self.batches = 0
         self.batched_rows = 0
+        #: Flushes the idle rule issued on the next loop iteration
+        #: because no other request could join (counted in batches).
+        self.idle_flushes = 0
         self.store_hits = 0
         self.overlay_hits = 0
         self.store_misses = 0
@@ -114,10 +118,12 @@ class ServingStats:
         with self._lock:
             self.tenants[tenant] = self.tenants.get(tenant, 0) + 1
 
-    def record_batch(self, rows: int) -> None:
+    def record_batch(self, rows: int, idle: bool = False) -> None:
         with self._lock:
             self.batches += 1
             self.batched_rows += rows
+            if idle:
+                self.idle_flushes += 1
 
     def enter_inflight(self) -> None:
         with self._lock:
@@ -177,6 +183,7 @@ class ServingStats:
             },
             "batches": self.batches,
             "batched_rows": self.batched_rows,
+            "idle_flushes": self.idle_flushes,
             "batch_occupancy": self.occupancy(),
             "store_hits": self.store_hits,
             "overlay_hits": self.overlay_hits,

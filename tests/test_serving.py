@@ -39,6 +39,7 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
     ServingError,
+    ServingStats,
 )
 
 
@@ -380,6 +381,133 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
+# Idle-aware flush
+# ----------------------------------------------------------------------
+async def hold_engine(serving):
+    """Admit a cold request that blocks on the engine lock, so it runs
+    inside the semaphores without parking on the batcher.  Call with
+    ``serving._engine_lock`` held; returns the task once it is
+    running."""
+    task = asyncio.ensure_future(
+        ServingClient(serving).evaluate(dnf(*COLD))
+    )
+    while serving._batcher is None or serving._batcher.running < 1:
+        await asyncio.sleep(0)
+    return task
+
+
+class TestIdleFlush:
+    """A request with no company flushes on the next loop iteration
+    instead of waiting out the window.  The window here is 60 s and
+    every wait is capped at 5 s, so a regression fails, not hangs."""
+
+    def make(self, served):
+        serving = ServingEngine(
+            served["stores"],
+            ConfidenceEngine(served["registry"]),
+            ServingConfig(batch_window_seconds=60.0),
+        )
+        return serving, ServingClient(serving)
+
+    def test_lone_evaluate_answers_at_once(self, served):
+        serving, client = self.make(served)
+        response = run(
+            asyncio.wait_for(
+                client.evaluate(dnf(*L1), overrides={"x0": 0.3}), 5
+            )
+        )
+        circuit = served["cache"].get(dnf(*L1))
+        assert response["value"] == circuit.evaluate({"x0": 0.3})
+        stats = serving.stats
+        assert (stats.batches, stats.batched_rows) == (1, 1)
+        assert stats.idle_flushes == 1
+        assert stats.summary()["idle_flushes"] == 1
+
+    def test_lone_sweep_flushes_its_bucket_once(self, served):
+        serving, client = self.make(served)
+        scenarios = [{"x1": p / 10.0} for p in range(10)]
+        response = run(
+            asyncio.wait_for(client.sweep(dnf(*L2), scenarios), 5)
+        )
+        circuit = served["cache"].get(dnf(*L2))
+        assert response["results"] == [
+            circuit.evaluate(s) for s in scenarios
+        ]
+        stats = serving.stats
+        assert (stats.batches, stats.batched_rows) == (1, 10)
+        assert stats.idle_flushes == 1
+
+    def test_lone_top_k_flushes_every_bucket(self, served, monkeypatch):
+        flushes = []
+        record_batch = ServingStats.record_batch
+
+        def spy(stats, rows, idle=False):
+            flushes.append((rows, idle))
+            record_batch(stats, rows, idle)
+
+        monkeypatch.setattr(ServingStats, "record_batch", spy)
+        serving, client = self.make(served)
+        # L1 twice: its bucket carries two rows of this request.
+        lineages = [dnf(*L1), dnf(*L2), dnf(*L3), dnf(*L1)]
+        response = run(
+            asyncio.wait_for(
+                client.top_k(lineages, 4, overrides={"x5": 0.4}), 5
+            )
+        )
+        values = [
+            served["cache"].get(lineage).evaluate({"x5": 0.4})
+            for lineage in lineages
+        ]
+        assert sorted(pair[1] for pair in response["answers"]) == sorted(
+            values
+        )
+        assert sorted(flushes) == [(1, True), (1, True), (2, True)]
+        assert serving.stats.idle_flushes == serving.stats.batches == 3
+
+    def test_row_beside_unparked_request_keeps_the_window(self, served):
+        serving, client = self.make(served)
+
+        async def scenario():
+            serving._engine_lock.acquire()
+            try:
+                cold = await hold_engine(serving)
+                warm = asyncio.ensure_future(
+                    client.evaluate(dnf(*L1), overrides={"x0": 0.3})
+                )
+                while not serving._batcher.buckets:
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0.05)
+                # Two requests ran since the last drain: the window
+                # applies even though only one of them is parked.
+                assert not warm.done()
+                assert serving.stats.batches == 0
+            finally:
+                serving._engine_lock.release()
+            await cold
+            # Every running request is parked once a second row joins,
+            # but the peak since the last drain is still two: that is
+            # a wave of concurrent traffic, so the window still holds.
+            second = asyncio.ensure_future(
+                client.evaluate(dnf(*L1), overrides={"x0": 0.6})
+            )
+            await asyncio.sleep(0.05)
+            assert serving._batcher.parked == serving._batcher.running
+            assert not warm.done() and not second.done()
+            await serving.close()
+            return await asyncio.gather(warm, second)
+
+        responses = run(asyncio.wait_for(scenario(), 5))
+        circuit = served["cache"].get(dnf(*L1))
+        assert [response["value"] for response in responses] == [
+            circuit.evaluate({"x0": 0.3}),
+            circuit.evaluate({"x0": 0.6}),
+        ]
+        stats = serving.stats
+        assert (stats.batches, stats.batched_rows) == (1, 2)
+        assert stats.idle_flushes == 0
+
+
+# ----------------------------------------------------------------------
 # ASGI wire path
 # ----------------------------------------------------------------------
 class TestASGI:
@@ -402,6 +530,8 @@ class TestASGI:
         stats = run(served["wire"].stats())
         assert stats["requests_total"] >= 1
         assert "latency" in stats and "p99_ms" in stats["latency"]
+        # The lone evaluate flushed on the idle rule, not the window.
+        assert stats["idle_flushes"] == stats["batches"] == 1
 
     def test_wire_errors_are_structured(self, served):
         with pytest.raises(ServingError) as info:
@@ -998,43 +1128,50 @@ class TestDeadlineMicrobatch:
         must 504 by itself — its batch-mates still get exact values."""
         serving = ServingEngine(
             served["stores"],
-            None,
-            # Window far beyond the test's lifetime: only the
-            # max_batch=2 fill can flush, so the doomed row provably
-            # sits queued while the clock jumps past its deadline.
+            ConfidenceEngine(served["registry"]),
+            # Window far beyond the test's lifetime, and a cold request
+            # held on the engine lock raises the peak to two before the
+            # doomed row parks, so the idle rule cannot flush either:
+            # only the max_batch=2 fill can, and the doomed row
+            # provably sits queued while the clock jumps past its
+            # deadline.
             ServingConfig(batch_window_seconds=60.0, max_batch=2),
         )
         client = ServingClient(serving)
         circuit = served["cache"].get(dnf(*L1))
 
         async def scenario():
-            doomed = asyncio.ensure_future(
-                client.evaluate(
-                    dnf(*L1),
-                    overrides={"x0": 0.3},
-                    deadline_seconds=0.05,
+            serving._engine_lock.acquire()
+            try:
+                cold = await hold_engine(serving)
+                doomed = asyncio.ensure_future(
+                    client.evaluate(
+                        dnf(*L1),
+                        overrides={"x0": 0.3},
+                        deadline_seconds=0.05,
+                    )
                 )
-            )
-            # Let the doomed request run until its row is enqueued.
-            while (
-                serving._batcher is None
-                or not serving._batcher.buckets
-            ):
-                await asyncio.sleep(0)
-            assert not doomed.done()
-            fake_clock.advance(1.0)  # deadline long gone, row queued
-            healthy = await client.evaluate(
-                dnf(*L1), overrides={"x0": 0.7}
-            )
-            with pytest.raises(ServingError) as info:
-                await doomed
-            assert info.value.code == "deadline-exceeded"
+                # Let the doomed request run until its row is enqueued.
+                while not serving._batcher.buckets:
+                    await asyncio.sleep(0)
+                assert not doomed.done()
+                fake_clock.advance(1.0)  # deadline long gone, row queued
+                healthy = await client.evaluate(
+                    dnf(*L1), overrides={"x0": 0.7}
+                )
+                with pytest.raises(ServingError) as info:
+                    await doomed
+                assert info.value.code == "deadline-exceeded"
+            finally:
+                serving._engine_lock.release()
+            await cold
             return healthy
 
-        healthy = run(scenario())
+        healthy = run(asyncio.wait_for(scenario(), 5))
         # The shared flush computed both rows; the survivor's value is
         # bit-identical to the scalar reference.
         assert healthy["value"] == circuit.evaluate({"x0": 0.7})
         assert serving.stats.batches == 1
         assert serving.stats.batched_rows == 2
+        assert serving.stats.idle_flushes == 0
         assert serving.stats.errors["deadline-exceeded"] == 1

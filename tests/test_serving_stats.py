@@ -102,3 +102,16 @@ class TestFleetCounters:
         assert summary["response_misses"] == 4
         assert summary["response_hit_ratio"] == 0.5
         assert summary["quota_rejections"] == 2
+
+
+class TestIdleFlushes:
+    def test_idle_flushes_count_within_batches(self):
+        stats = ServingStats()
+        stats.record_batch(3)
+        stats.record_batch(1, idle=True)
+        stats.record_batch(2, idle=True)
+        assert (stats.batches, stats.batched_rows) == (3, 6)
+        assert stats.idle_flushes == 2
+        summary = stats.summary()
+        assert summary["idle_flushes"] == 2
+        assert summary["batches"] == 3
