@@ -16,12 +16,12 @@ The library provides:
   ``compute()`` entry point that auto-selects read-once → SPROUT →
   d-tree ε-approximation → Monte-Carlo per query/lineage, a batched
   anytime ``compute_many()`` that round-robins refinement across answer
-  sets, and the frozen :class:`EngineConfig` policy bundle every path
-  honours;
-* :mod:`repro.engine_parallel` — the sharded execution layer:
-  :class:`ShardedBatchComputation` fans batched computation out across
-  a process/thread pool (``EngineConfig(workers=…)``), one engine and
-  decomposition cache per worker, work-stealing refinement, and a
+  sets (one :class:`BatchComputation`, inline or pooled), and the
+  frozen :class:`EngineConfig` policy bundle every path honours;
+* :mod:`repro.engine_parallel` — the pool a batch's rounds run on when
+  ``EngineConfig(workers=…)`` allows more than one shard: an
+  engine-lifetime process/thread :class:`WorkerPool`, one engine and
+  decomposition cache per worker, work-stealing rounds, and a
   deterministic merge;
 * :mod:`repro.db` — a probabilistic database substrate topped by the
   :class:`ProbDB` session façade: ``ProbDB(database).sql(...)`` /
@@ -81,12 +81,12 @@ from .engine import (
     EngineResult,
     STRATEGY_LADDER,
 )
-from .engine_parallel import ShardedBatchComputation, WorkerPool
+from .engine_parallel import WorkerPool
 from .db.explain import InfluenceReport, rank_influence
 from .db.session import BoundsSnapshot, ProbDB, QueryResult
 from .db.topk import RankedAnswer
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ABSOLUTE",
@@ -113,7 +113,6 @@ __all__ = [
     "QueryResult",
     "RankedAnswer",
     "STRATEGY_LADDER",
-    "ShardedBatchComputation",
     "SweepResult",
     "VariableRegistry",
     "WorkerPool",

@@ -411,7 +411,11 @@ class QueryResult:
                 batch.total_steps,
             )
 
-        try:
+        # Leaving the block — the iterator finishing or being
+        # abandoned — drops a pooled batch's lease on the session
+        # engine's worker pool; the pool stays warm on the engine
+        # until ``ProbDB.close()`` (or GC) retires it.
+        with batch:
             yield snapshot()
             while not batch.converged():
                 if (
@@ -424,14 +428,6 @@ class QueryResult:
                 if batch.step() is None:
                     break
                 yield snapshot()
-        finally:
-            # Release a sharded batch's reference to the session
-            # engine's worker pool when the iterator finishes or is
-            # abandoned; the pool stays warm on the engine until
-            # ``ProbDB.close()`` (or GC) retires it.
-            close = getattr(batch, "close", None)
-            if close is not None:
-                close()
 
     def top_k(
         self,

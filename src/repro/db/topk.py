@@ -26,6 +26,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 from ..core.dnf import DNF
 from ..core.orders import VariableSelector
 from ..core.variables import VariableRegistry, variable_name
+from ..engine import resumable_circuit
 
 __all__ = ["rank_answers", "top_k_answers", "RankedAnswer"]
 
@@ -137,42 +138,15 @@ def rank_answers(
         workers=workers,
         executor_kind=executor_kind,
     )
-    try:
+    # Leaving the block drops a pooled batch's lease on the
+    # engine-lifetime worker pool.  The pool itself survives on the
+    # engine (warm for the next ranking); ``engine.close()`` retires
+    # it, with a GC finalizer as the backstop for throwaway engines.
+    with batch:
         return _rank_batch(
             batch, answers, k, max_total_steps, separation,
             guided=guided is None or guided,
         )
-    finally:
-        # Release a sharded batch's reference to the engine-lifetime
-        # worker pool.  The pool itself survives on the engine (warm
-        # for the next ranking); ``engine.close()`` retires it, with a
-        # GC finalizer as the backstop for throwaway engines.
-        close = getattr(batch, "close", None)
-        if close is not None:
-            close()
-
-
-def _refinement_circuit(batch, index):
-    """A refinable partial circuit for a ranking candidate, if any.
-
-    Looks at the candidate's own result first (circuit-refine rounds
-    carry their expansion progress), then the engine's session-wired
-    ``circuit_source``.
-    """
-    result = batch.results[index]
-    candidates = [result.circuit]
-    source = getattr(batch.engine, "circuit_source", None)
-    if source is not None:
-        candidates.append(source(batch.dnfs[index]))
-    for circuit in candidates:
-        if (
-            circuit is not None
-            and not circuit.is_exact
-            and circuit.refinable
-            and not circuit.conditioned
-        ):
-            return circuit
-    return None
 
 
 def _gradient_target(
@@ -212,7 +186,11 @@ def _gradient_target(
         if relevance <= 0.0:
             continue
         effectiveness = 1.0  # a d-tree rerun attacks the whole interval
-        circuit = _refinement_circuit(batch, index)
+        # The very circuit refine() would resume: the candidate's own
+        # expansion progress first, then the session cache.
+        circuit = resumable_circuit(
+            batch.engine, batch.dnfs[index], result.circuit
+        )
         if circuit is not None:
             slot = circuit.widest_residual()
             if slot is not None:

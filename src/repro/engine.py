@@ -77,7 +77,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine_parallel import ShardedBatchComputation, WorkerPool
+    from .engine_parallel import PooledRounds, WorkerPool
 
 from .circuits.circuit import Circuit
 from .circuits.compiler import CircuitCompilationStats
@@ -158,10 +158,12 @@ class EngineConfig:
         batch.  ``None`` (the default) means every tuple runs to its own
         guarantee; top-k defaults to 200 000 when unset.
     workers, executor_kind:
-        Parallel execution policy for batched computation.  ``workers=1``
-        (the default) keeps every path single-threaded; ``workers>1``
-        shards :meth:`ConfidenceEngine.compute_many` /
-        :meth:`ConfidenceEngine.refine_many` batches across a pool of
+        Parallel execution policy for batched computation.  A
+        :class:`BatchComputation` (behind
+        :meth:`ConfidenceEngine.compute_many` /
+        :meth:`ConfidenceEngine.refine_many`) runs its rounds inline
+        on the engine when ``min(workers, len(batch)) == 1`` — always
+        under the default ``workers=1`` — and otherwise on a pool of
         ``"process"`` or ``"thread"`` workers, each with its own engine
         and decomposition cache (see :mod:`repro.engine_parallel`).
         Processes escape the GIL and are the right default for CPU-bound
@@ -191,8 +193,8 @@ class EngineConfig:
         layer additionally caches them so warm queries skip the
         engine.  Batched refinement skips per-round compilation
         (intermediate results are replaced); the batch compiles its
-        *final* answers once — a cheap cache replay on the serial
-        path, and under ``workers > 1`` a final round on the warm
+        *final* answers once — a cheap cache replay for inline
+        rounds, and for pooled ones a final round on the warm
         workers, which compile in parallel and ship the circuits (and
         their decomposition-cache cones) back to the coordinator over
         the :mod:`repro.circuits.serialize` codec, so the coordinator
@@ -361,7 +363,7 @@ class EngineResult:
     circuit:
         The compiled :class:`~repro.circuits.Circuit` of this lineage
         when ``EngineConfig.compile_circuits`` is on (``None``
-        otherwise, and on sharded workers): exact for exact rungs,
+        otherwise, and on pool workers): exact for exact rungs,
         partial — residual-interval leaves, sound bounds — for
         budgeted ε-runs.
     """
@@ -451,22 +453,23 @@ def circuit_hit_result(
     )
 
 
-def _wants_exact_circuit(result: "EngineResult") -> bool:
-    """Should this result's circuit be compiled exactly (no budget)?
+def _circuit_max_nodes(result: "EngineResult", dnf: DNF) -> Optional[int]:
+    """Node budget for compiling ``result``'s circuit (``None`` = exact).
 
     Exact answers — the trivial/read-once rungs, and an ``ε = 0``
-    converged d-tree run — compile fully; everything else gets a
-    node-budgeted partial compile.  One definition shared by the serial
-    attach path (:meth:`ConfidenceEngine._attach_circuit`) and the
-    sharded shipping path
-    (:meth:`~repro.engine_parallel.ShardedBatchComputation.compile_final_circuits`),
-    so the two cannot disagree on what a worker should compile.
+    converged d-tree run — compile fully; budgeted answers get a node
+    budget proportional to the work the run actually spent, with
+    residual-interval leaves standing in for unexpanded sub-DNFs.
+    Wherever a circuit is compiled — on the engine or in a pool
+    worker's compile round — this decides its size.
     """
-    return result.strategy in ("trivial", "read-once") or (
+    if result.strategy in ("trivial", "read-once") or (
         result.strategy == "dtree"
         and result.converged
         and result.epsilon == 0.0
-    )
+    ):
+        return None
+    return ConfidenceEngine._circuit_node_budget(result.steps, dnf)
 
 
 def _merge_refined(
@@ -477,10 +480,9 @@ def _merge_refined(
     Certified intervals never regress: a re-run cut short (e.g. by an
     expired deadline) may report wider bounds than the previous round
     already proved; keep the intersection, which is sound because both
-    intervals contain the true probability.  Shared by the serial
-    (:meth:`BatchComputation.refine`) and sharded
-    (:mod:`repro.engine_parallel`) refinement paths — the bit-identity
-    contract between them depends on this being one piece of code.
+    intervals contain the true probability.  Every refinement of a
+    :class:`BatchComputation` goes through it — inline and pooled
+    re-runs alike, and circuit-refine rounds.
     """
     if previous.lower > result.lower:
         result.lower = previous.lower
@@ -613,21 +615,46 @@ def _circuit_refine_result(
 
 
 class BatchComputation:
-    """Anytime round-robin refinement of many lineages on one engine.
+    """Anytime round-robin refinement of many lineages.
 
     This generalizes the interval-refinement loop that used to be private
     to :mod:`repro.db.topk`: every tuple holds a certified probability
     interval and a per-tuple step budget; :meth:`step` refines the widest
     unconverged interval by re-running it with a ``step_growth``-times
-    larger budget.  Because all refinement goes through one engine and
-    its :class:`~repro.core.memo.DecompositionCache`, a re-run resumes
-    almost where the previous round stopped, and tuples with shared
-    lineage fold each other's finished subtrees in one step.
-
-    Consumers drive the loop with their own stopping rule: ε-convergence
-    (:meth:`ConfidenceEngine.compute_many`), ranking separation
+    larger budget.  Consumers drive the loop with their own stopping
+    rule: ε-convergence (:meth:`run`, behind
+    :meth:`ConfidenceEngine.compute_many`), ranking separation
     (:func:`repro.db.topk.rank_answers`), or the caller's patience
     (``QueryResult.bounds()``).
+
+    The one thing that varies is where a round runs, fixed at
+    construction by ``shards = min(workers, len(batch))``:
+
+    * **one shard** — rounds run inline on the engine.  All refinement
+      shares its :class:`~repro.core.memo.DecompositionCache`, so a
+      re-run resumes almost where the previous round stopped, and
+      tuples with shared lineage fold each other's finished subtrees.
+    * **several shards** — rounds go to the engine's worker pool
+      (:class:`~repro.engine_parallel.PooledRounds`), one engine and
+      cache per worker.  A :meth:`step` then refines the ``shards``
+      widest tuples at once, dealt widest-first round-robin across the
+      shards — the same prioritized schedule saturating the pool.
+
+    Parameters mirror :meth:`ConfidenceEngine.refine_many` (``None``
+    falls back to the engine config, except ``max_steps``: the
+    refinement cap, ``None`` = uncapped), plus:
+
+    run_to_guarantee:
+        The initial pass gives every tuple its *full* per-call budget
+        (``max_steps``, else the engine config's) instead of
+        ``initial_steps``, and that budget is also the refinement cap,
+        so nothing is left to refine — one pooled pass, the parallel
+        analogue of the unbudgeted :meth:`ConfidenceEngine.compute_many`
+        loop.
+
+    A pooled batch leases the engine-lifetime worker pool;
+    :meth:`close` (or leaving a ``with`` block) drops the lease, and
+    ``ConfidenceEngine.close()`` retires the pool itself.
     """
 
     __slots__ = (
@@ -641,7 +668,9 @@ class BatchComputation:
         "budgets",
         "results",
         "total_steps",
+        "shards",
         "_started",
+        "_rounds",
     )
 
     def __init__(
@@ -655,6 +684,9 @@ class BatchComputation:
         step_growth: Optional[int] = None,
         max_steps: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
+        workers: Optional[int] = None,
+        executor_kind: Optional[str] = None,
+        run_to_guarantee: bool = False,
     ) -> None:
         config = engine.config
         self.engine = engine
@@ -667,29 +699,53 @@ class BatchComputation:
         self.step_growth = (
             config.step_growth if step_growth is None else step_growth
         )
-        self.max_steps = max_steps
         self.deadline_seconds = (
             config.deadline_seconds
             if deadline_seconds is None
             else deadline_seconds
         )
+        if workers is None:
+            workers = config.workers
+        if executor_kind is None:
+            executor_kind = config.executor_kind
+        if executor_kind not in ("process", "thread"):
+            raise ValueError(
+                "executor_kind must be 'process' or 'thread', got "
+                f"{executor_kind!r}"
+            )
+        workers = max(1, int(workers))
+        if run_to_guarantee:
+            # The full per-call budget, resolved the way compute()
+            # would.  As first budget *and* refinement cap it leaves
+            # nothing to refine.
+            if max_steps is None:
+                max_steps = config.max_steps
+            initial_steps = max_steps
+        # Otherwise the refinement cap is the *argument*: the
+        # engine-config max_steps applies per compute call, not here.
+        self.max_steps = max_steps
         self._started = clock.monotonic()
         self.dnfs: List[DNF] = [
             lineage.to_dnf() if isinstance(lineage, Formula) else lineage
             for lineage in lineages
         ]
-        self.budgets: List[int] = [
+        self.budgets: List[Optional[int]] = [
             self._capped(initial_steps) for _ in self.dnfs
         ]
+        self.shards = min(workers, len(self.dnfs))
+        self._rounds: Optional["PooledRounds"] = None
+        if self.shards > 1:
+            from .engine_parallel import PooledRounds
+
+            self._rounds = PooledRounds(
+                engine, executor_kind, self.shards, workers
+            )
         self.total_steps = 0
         self.results: List[EngineResult] = []
-        for index in range(len(self.dnfs)):
-            result = self._compute(index)
-            self.results.append(result)
-            self.total_steps += result.steps
+        self._run_round(range(len(self.dnfs)), initial=True)
 
-    def _capped(self, budget: int) -> int:
-        if self.max_steps is not None:
+    def _capped(self, budget: Optional[int]) -> Optional[int]:
+        if budget is not None and self.max_steps is not None:
             return min(budget, self.max_steps)
         return budget
 
@@ -720,6 +776,41 @@ class BatchComputation:
             compile_circuits=False,
         )
 
+    def _install(self, index: int, result: EngineResult) -> None:
+        """Record a refined result: merged monotonically into the
+        previous interval, ``total_steps`` moved by the step delta.
+
+        ``total_steps`` tracks the *latest* run's step count per tuple —
+        the shared cache makes a re-run resume rather than repeat, so
+        summing across rounds would double-count folded subtrees.
+        """
+        previous = self.results[index]
+        self.results[index] = result = _merge_refined(previous, result)
+        self.total_steps += result.steps - previous.steps
+
+    def _run_round(
+        self, indices: Iterable[int], *, initial: bool = False
+    ) -> None:
+        """Compute ``indices`` at their current budgets — inline, one
+        after another, or as one pooled round."""
+        if self._rounds is None:
+            computed: Iterable[Tuple[int, EngineResult]] = (
+                (index, self._compute(index)) for index in indices
+            )
+        else:
+            computed = self._rounds.compute(self, list(indices))
+        for index, result in computed:
+            if initial:
+                self.results.append(result)
+                self.total_steps += result.steps
+            else:
+                self._install(index, result)
+
+    def _grow(self, index: int) -> None:
+        budget = self.budgets[index]
+        if budget is not None:
+            self.budgets[index] = self._capped(budget * self.step_growth)
+
     def converged(self) -> bool:
         """Has every tuple certified the requested guarantee?"""
         return all(result.converged for result in self.results)
@@ -735,6 +826,8 @@ class BatchComputation:
             index
             for index in indices
             if not self.results[index].converged
+            # A None budget already ran unbounded: nothing to grow.
+            and self.budgets[index] is not None
             and (
                 self.max_steps is None
                 or self.budgets[index] < self.max_steps
@@ -755,55 +848,115 @@ class BatchComputation:
         this batch's own expansion progress, or the session cache via
         :attr:`ConfidenceEngine.circuit_source` (including circuits
         reloaded from a persisted store in a fresh process) — the round
-        expands the widest residual leaf in place (strategy
-        ``"circuit-refine"``) instead of re-running the ε-approximation
-        from scratch.  Otherwise it recomputes with a
-        ``step_growth``-times larger budget, as before.
-
-        ``total_steps`` tracks the *latest* run's step count per tuple —
-        the shared cache makes a re-run resume rather than repeat, so
-        summing across rounds would double-count folded subtrees.
+        expands the widest residual leaf in place on the engine
+        (strategy ``"circuit-refine"``) instead of re-running the
+        ε-approximation from scratch.  Otherwise, or when the expansion
+        stalls, the tuple is recomputed with a ``step_growth``-times
+        larger budget.
         """
-        self.budgets[index] = self._capped(
-            self.budgets[index] * self.step_growth
-        )
+        self._grow(index)
         previous = self.results[index]
         circuit = resumable_circuit(
             self.engine, self.dnfs[index], previous.circuit
         )
-        result: Optional[EngineResult] = None
         if circuit is not None:
+            budget = self.budgets[index]
             result = _circuit_refine_result(
                 self.engine,
                 self.dnfs[index],
                 circuit,
                 previous,
-                self.budgets[index],
+                max(previous.steps, 64) if budget is None else budget,
                 self.epsilon,
                 self.error_kind,
             )
             if (
-                not result.converged
-                and result.steps == previous.steps
-                and result.width() >= previous.width()
+                result.converged
+                or result.steps != previous.steps
+                or result.width() < previous.width()
             ):
-                # The expansion stalled (node budget too tight to make
-                # progress on this leaf): fall back to the classic
-                # re-run so the driver loop always advances.
-                result = None
-        if result is None:
-            result = _merge_refined(previous, self._compute(index))
-        self.results[index] = result
-        self.total_steps += result.steps - previous.steps
-        return result
+                self.results[index] = result
+                self.total_steps += result.steps - previous.steps
+                return result
+            # The expansion stalled (node budget too tight to make
+            # progress on this leaf): fall back to the classic re-run
+            # so the driver loop always advances.
+        self._run_round([index])
+        return self.results[index]
 
     def step(self, indices: Optional[Sequence[int]] = None) -> Optional[int]:
-        """Refine the widest refinable tuple; its index, or ``None``."""
-        index = self.widest(indices)
-        if index is None:
+        """One refinement round; the widest refinable index, or ``None``.
+
+        Inline, the widest refinable tuple (from ``indices`` when given)
+        is refined.  Pooled, the (up to) ``shards`` widest are grown and
+        dealt widest-first round-robin across the shards — one tuple
+        per shard instead of one per step.
+        """
+        if self._rounds is None:
+            index = self.widest(indices)
+            if index is not None:
+                self.refine(index)
+            return index
+        candidates = self.refinable(indices)
+        if not candidates:
             return None
-        self.refine(index)
-        return index
+        candidates.sort(
+            key=lambda index: (-self.results[index].width(), index)
+        )
+        chosen = candidates[: self.shards]
+        for index in chosen:
+            self._grow(index)
+        self._run_round(chosen)
+        return chosen[0]
+
+    def run(
+        self, max_total_steps: Optional[int] = None
+    ) -> List[EngineResult]:
+        """Refine until convergence, ``max_total_steps``, the deadline,
+        or nothing refinable is left.
+
+        The initial pass already ran in the constructor; MC
+        finalization stays with the engine
+        (:meth:`ConfidenceEngine.compute_many`).
+        """
+        while (
+            not self.converged()
+            and (
+                max_total_steps is None
+                or self.total_steps < max_total_steps
+            )
+            and not self.out_of_time()
+        ):
+            if self.step() is None:
+                break
+        return self.results
+
+    @property
+    def worker_stats(self) -> Dict[object, Dict[str, int]]:
+        """Latest cache stats per pool worker seen so far (empty when
+        rounds run inline: the engine's own ``cache.stats()`` covers
+        those)."""
+        return {} if self._rounds is None else self._rounds.worker_stats
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Cache counters aggregated across :attr:`worker_stats`."""
+        return DecompositionCache.merge_stats(self.worker_stats.values())
+
+    def close(self) -> None:
+        """Drop this batch's lease on the engine's worker pool.
+
+        The pool itself stays alive on the engine (that amortization is
+        the point); shut it down with ``engine.close()`` when the
+        engine is retired, or rely on the GC finalizer.
+        """
+        if self._rounds is not None:
+            self._rounds.close()
+
+    def __enter__(self) -> "BatchComputation":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return len(self.dnfs)
@@ -1221,22 +1374,11 @@ class ConfidenceEngine:
     def _attach_circuit(
         self, result: EngineResult, dnf: DNF
     ) -> EngineResult:
-        """Compile ``dnf``'s circuit onto ``result`` (knob checked by
-        callers).
-
-        Exact answers — the trivial/read-once rungs, and an ``ε = 0``
-        converged d-tree run — compile fully; budgeted answers get a
-        node budget proportional to the work the run actually spent,
-        with residual-interval leaves standing in for unexpanded
-        sub-DNFs.
-        """
-        exact = _wants_exact_circuit(result)
-        max_nodes = (
-            None
-            if exact
-            else self._circuit_node_budget(result.steps, dnf)
+        """Compile ``dnf``'s circuit onto ``result``, sized by
+        :func:`_circuit_max_nodes` (knob checked by callers)."""
+        result.circuit = self.compile_circuit(
+            dnf, max_nodes=_circuit_max_nodes(result, dnf)
         )
-        result.circuit = self.compile_circuit(dnf, max_nodes=max_nodes)
         return result
 
     # ------------------------------------------------------------------
@@ -1254,35 +1396,15 @@ class ConfidenceEngine:
         deadline_seconds: Optional[float] = None,
         workers: Optional[int] = None,
         executor_kind: Optional[str] = None,
-    ) -> "Union[BatchComputation, ShardedBatchComputation]":
+    ) -> BatchComputation:
         """An anytime :class:`BatchComputation` over ``lineages``.
 
         The caller drives refinement (``step()``/``refine()``) under its
         own stopping rule; :meth:`compute_many` is the run-to-guarantee
         driver, top-k and ``QueryResult.bounds()`` are the other two.
-
-        With ``workers > 1`` (argument or engine config) the returned
-        batch is a :class:`~repro.engine_parallel.ShardedBatchComputation`
-        — the same interface, refinement fanned out across a worker pool.
+        With ``workers > 1`` (argument or engine config) and more than
+        one lineage, the batch's rounds run on the engine's worker pool.
         """
-        lineages = list(lineages)
-        if workers is None:
-            workers = self.config.workers
-        if workers > 1 and len(lineages) > 1:
-            from .engine_parallel import ShardedBatchComputation
-
-            return ShardedBatchComputation(
-                self,
-                lineages,
-                workers=workers,
-                executor_kind=executor_kind,
-                epsilon=epsilon,
-                error_kind=error_kind,
-                initial_steps=initial_steps,
-                step_growth=step_growth,
-                max_steps=max_steps,
-                deadline_seconds=deadline_seconds,
-            )
         return BatchComputation(
             self,
             lineages,
@@ -1292,6 +1414,8 @@ class ConfidenceEngine:
             step_growth=step_growth,
             max_steps=max_steps,
             deadline_seconds=deadline_seconds,
+            workers=workers,
+            executor_kind=executor_kind,
         )
 
     def compute_many(
@@ -1326,11 +1450,11 @@ class ConfidenceEngine:
         ``deadline_seconds`` bounds the *whole batch*, unlike
         :meth:`compute`'s per-call deadline.
 
-        With ``workers > 1`` (argument or engine config) the batch is
-        sharded across a worker pool (:mod:`repro.engine_parallel`): each
+        With ``workers > 1`` (argument or engine config) the batch's
+        rounds run on a worker pool (:mod:`repro.engine_parallel`): each
         worker runs its shard on its own engine and cache, refinement
         rebalances the widest intervals across shards between rounds,
-        and the merged results are exactly as sound as the serial path's
+        and the merged results are exactly as sound as inline rounds'
         (bit-identical for exact strategies).
         """
         config = self.config
@@ -1346,50 +1470,7 @@ class ConfidenceEngine:
         )
         if workers is None:
             workers = config.workers
-        if workers > 1 and len(lineages) > 1:
-            from .engine_parallel import ShardedBatchComputation
-
-            batch = ShardedBatchComputation(
-                self,
-                lineages,
-                workers=workers,
-                executor_kind=executor_kind,
-                epsilon=epsilon,
-                error_kind=error_kind,
-                initial_steps=initial_steps,
-                step_growth=step_growth,
-                max_steps=max_steps,
-                deadline_seconds=deadline,
-                run_to_guarantee=max_total_steps is None,
-            )
-            try:
-                batch.run(max_total_steps=max_total_steps)
-                self._finalize_batch(batch)
-                if self.config.compile_circuits:
-                    # One final round on the (warm) workers: each
-                    # compiles its answers' circuits and ships them —
-                    # plus its decomposition-cache cone — back over
-                    # the serialization codec.  The coordinator never
-                    # re-decomposes; _attach_batch_circuits below is
-                    # only the fallback for unshippable entries.
-                    try:
-                        batch.compile_final_circuits()
-                    except BrokenExecutor:
-                        # The confidences are already complete; a pool
-                        # dying during this *optional* round must not
-                        # discard them.  The corpse was evicted inside
-                        # compile_final_circuits; the coordinator
-                        # compiles the missing circuits itself below.
-                        # Only BrokenExecutor is absorbed — any other
-                        # error (a worker-side compile bug, a missing
-                        # initializer) must surface, not silently
-                        # degrade every batch to serial compilation.
-                        pass
-                self._attach_batch_circuits(batch)
-                return list(batch.results)
-            finally:
-                batch.close()
-        if max_total_steps is None:
+        if max_total_steps is None and min(workers, len(lineages)) <= 1:
             started = clock.monotonic()
             results = []
             for lineage in lineages:
@@ -1409,7 +1490,8 @@ class ConfidenceEngine:
                 )
             return results
 
-        batch = self.refine_many(
+        with BatchComputation(
+            self,
             lineages,
             epsilon=epsilon,
             error_kind=error_kind,
@@ -1417,45 +1499,57 @@ class ConfidenceEngine:
             step_growth=step_growth,
             max_steps=max_steps,
             deadline_seconds=deadline,
-        )
-        while (
-            not batch.converged()
-            and batch.total_steps < max_total_steps
-            and not batch.out_of_time()
-        ):
-            if batch.step() is None:
-                break
-        self._finalize_batch(batch)
-        self._attach_batch_circuits(batch)
-        return list(batch.results)
+            workers=workers,
+            executor_kind=executor_kind,
+            run_to_guarantee=max_total_steps is None,
+        ) as batch:
+            batch.run(max_total_steps)
+            self._finalize_batch(batch)
+            self._attach_batch_circuits(batch)
+            return list(batch.results)
 
-    def _attach_batch_circuits(self, batch) -> None:
+    def _attach_batch_circuits(self, batch: BatchComputation) -> None:
         """Compile circuits for a finished batch's final answers.
 
         Refinement rounds skip compilation — their results are
         replaced round over round — so the batch compiles once, here.
-        On the serial path this replays the decompositions the run
-        just cached (cheap).  On the sharded path the workers already
-        compiled and shipped the final circuits
-        (:meth:`~repro.engine_parallel.ShardedBatchComputation.compile_final_circuits`),
-        so this loop only covers entries the shipping round could not
-        serialize (e.g. unpicklable variable names on a thread pool).
+        A pooled batch first runs one compile round on its warm workers
+        (:meth:`~repro.engine_parallel.PooledRounds.compile_circuits`),
+        which ship the circuits — plus their decomposition-cache cones —
+        back over the serialization codec, so the engine never
+        re-decomposes.  The loop below then covers whatever is still
+        missing: every answer of an inline batch (a cheap replay of the
+        decompositions the run just cached), and on a pooled one only
+        the entries the shipping round could not serialize (e.g.
+        unpicklable variable names on a thread pool).
         """
         if not self.config.compile_circuits:
             return
+        if batch._rounds is not None:
+            try:
+                batch._rounds.compile_circuits(batch)
+            except BrokenExecutor:
+                # The confidences are already complete; a pool dying
+                # during this *optional* round must not discard them.
+                # The corpse was evicted inside the round; the loop
+                # below compiles the missing circuits.  Only
+                # BrokenExecutor is absorbed — any other error (a
+                # worker-side compile bug, a missing initializer) must
+                # surface, not silently degrade every batch to inline
+                # compilation.
+                pass
         for index, result in enumerate(batch.results):
             if result.circuit is None:
                 batch.results[index] = self._attach_circuit(
                     result, batch.dnfs[index]
                 )
 
-    def _finalize_batch(self, batch) -> None:
+    def _finalize_batch(self, batch: BatchComputation) -> None:
         """Apply the MC rung to tuples whose batch budget ran out.
 
-        ``batch`` is a :class:`BatchComputation` or any object with its
-        interface (the sharded batches of :mod:`repro.engine_parallel`
-        qualify); MC always runs here, on the coordinating engine, so a
-        seeded run is deterministic regardless of shard assignment.
+        MC always runs here, on the coordinating engine — never in a
+        pool worker — so a seeded run is deterministic regardless of
+        shard assignment.
         """
         if not self._mc_applicable(
             batch.epsilon, batch.error_kind, self.config.mc_fallback

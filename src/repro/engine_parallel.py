@@ -1,20 +1,20 @@
-"""Sharded parallel execution of batched confidence computation.
+"""Pooled execution of batched confidence computation.
 
 The paper's anytime d-tree decomposition is embarrassingly parallel
 across answer tuples: each lineage DNF is an independent computation
 against a shared, read-only probability space.  This module is the
-execution layer that exploits it — :class:`ShardedBatchComputation`
-partitions a batch of interned lineages across a pool of workers, runs a
-full :class:`~repro.engine.ConfidenceEngine` (with its own
-:class:`~repro.core.memo.DecompositionCache`) in every worker, and
-merges the per-shard results deterministically.
-
-It is a drop-in sibling of :class:`~repro.engine.BatchComputation`: the
-same attributes and methods, so :meth:`ConfidenceEngine.compute_many`,
-top-k ranking, and the session façade's ``bounds()`` iterator drive it
-unchanged.  ``workers``/``executor_kind`` on
-:class:`~repro.engine.EngineConfig` (or the per-call overrides) select
-it; the default ``workers=1`` keeps every path serial.
+pool side of :class:`~repro.engine.BatchComputation`.  A batch with
+more than one shard (``shards = min(workers, len(batch))``) hands its
+rounds to :class:`PooledRounds`, which deals the round's tuples across
+a pool of workers — each running a full
+:class:`~repro.engine.ConfidenceEngine` with its own
+:class:`~repro.core.memo.DecompositionCache` — and merges the results
+deterministically.  Everything else about the batch (budgets,
+deadlines, the widest-first schedule, circuit-refine, the monotone
+merge) lives once, in :class:`~repro.engine.BatchComputation`.
+``workers``/``executor_kind`` on :class:`~repro.engine.EngineConfig`
+(or the per-call overrides) select the pool; the default ``workers=1``
+keeps every round inline.
 
 Executor kinds
 --------------
@@ -53,9 +53,9 @@ Determinism
 Shard assignment, round scheduling, and merge order are pure functions
 of the input batch — no reliance on pool completion order.  Exact
 strategies (trivial / read-once / converged ``ε = 0`` d-tree) therefore
-return bit-identical probabilities to the serial path; anytime runs
+return bit-identical probabilities to inline rounds; anytime runs
 return certified bounds that are sound by the same argument as the
-serial path's (and are intersected monotonically across rounds).  The
+inline path's (and are intersected monotonically across rounds).  The
 differential suite in ``tests/test_parallel_differential.py`` enforces
 both properties.
 """
@@ -70,11 +70,18 @@ from contextlib import contextmanager
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .circuits.serialize import (
     decode_circuit,
@@ -85,8 +92,6 @@ from .circuits.serialize import (
 from .core import clock
 from .core.dnf import DNF
 from .core.events import Clause
-from .core.formulas import Formula
-from .core.memo import DecompositionCache
 from .core.variables import (
     InternSnapshot,
     VariableRegistry,
@@ -95,17 +100,14 @@ from .core.variables import (
     intern_version,
 )
 from .engine import (
+    BatchComputation,
     ConfidenceEngine,
     EngineConfig,
     EngineResult,
-    Lineage,
-    _circuit_refine_result,
-    _merge_refined,
-    _wants_exact_circuit,
-    resumable_circuit,
+    _circuit_max_nodes,
 )
 
-__all__ = ["ShardedBatchComputation", "WorkerPool", "build_worker_engine"]
+__all__ = ["PooledRounds", "WorkerPool", "build_worker_engine"]
 
 #: ``(index, dnf, step budget)`` — one unit of shard work.  The process
 #: path ships the DNF through the interned-id codec below instead of
@@ -317,13 +319,12 @@ def _worker_probe(encoded: _EncodedDNF):
 class WorkerPool:
     """An executor (plus per-worker engines) amortized across batches.
 
-    Historically every :class:`ShardedBatchComputation` built and tore
-    down its own pool — correct, but a ``workers=N`` session serving
-    many small queries paid pool start-up per call and every worker's
-    decomposition cache restarted cold.  A :class:`WorkerPool` instead
-    lives on the :class:`~repro.engine.ConfidenceEngine`
-    (``engine._worker_pool``) for the engine's lifetime and is shared
-    by every batch the engine runs.
+    A :class:`WorkerPool` lives on the
+    :class:`~repro.engine.ConfidenceEngine` (``engine._worker_pools``,
+    one slot per executor kind) for the engine's lifetime and is shared
+    by every pooled batch the engine runs, so a ``workers=N`` session
+    serving many small queries pays pool start-up once and its worker
+    decomposition caches stay warm.
 
     Staleness: a process pool ships the intern-table snapshot once per
     worker at start-up, and tasks cross the boundary as bare interned
@@ -480,201 +481,66 @@ def acquire_worker_pool(
 
 
 # ----------------------------------------------------------------------
-# The coordinator
+# The coordinator side of a pooled round
 # ----------------------------------------------------------------------
-class ShardedBatchComputation:
-    """Anytime batched refinement fanned out across a worker pool.
+class PooledRounds:
+    """Where a multi-shard :class:`~repro.engine.BatchComputation` runs
+    its rounds.
 
-    Drop-in interface twin of :class:`~repro.engine.BatchComputation`
-    (``results`` / ``budgets`` / ``total_steps`` / ``converged`` /
-    ``refinable`` / ``widest`` / ``refine`` / ``step`` …), so every
-    consumer of the serial batch drives a sharded one unchanged.
+    Owns everything between the batch and the engine's
+    :class:`WorkerPool`: the pool lease (re-validated every round), the
+    round lock, eviction of a broken pool, the round-robin deal, and
+    the index-ordered merge.  Two kinds of round share that machinery:
+    :meth:`compute` (the initial pass and every refinement round) and
+    :meth:`compile_circuits` (the final compile-and-ship round).
 
-    Parameters mirror :meth:`ConfidenceEngine.refine_many`, plus:
-
-    workers:
-        Pool size; shards = ``min(workers, len(batch))``.
-    executor_kind:
-        ``"process"`` or ``"thread"`` (engine-config default when
-        ``None``); see the module docstring for the trade-off.
-    run_to_guarantee:
-        When true, the initial pass gives every tuple its *full*
-        per-call budget (``max_steps``, possibly unbounded) instead of
-        ``initial_steps`` — the parallel analogue of the serial
-        unbudgeted ``compute_many`` path, one task per shard.
-
-    The worker pool is **engine-lifetime** (see :class:`WorkerPool`):
-    acquired from the coordinating engine on first execution, reused
-    across batches with warm worker caches, and rebuilt only when it
-    cannot serve (kind/size mismatch, or — process pools — new atoms
-    interned since its snapshot shipped).  :meth:`close` merely drops
-    this batch's reference; retire the pool with
-    ``ConfidenceEngine.close()`` or let the GC finalizer reap it.  The
-    coordinating engine is *never* called for d-tree work here — every
-    decomposition runs on a worker engine with its own cache;
-    per-worker cache statistics are aggregated in :meth:`cache_stats`.
+    The coordinating engine is *never* called for d-tree work here —
+    every decomposition runs on a worker engine with its own cache;
+    :attr:`worker_stats` keeps each worker's latest cache counters.
     """
+
+    __slots__ = ("engine", "kind", "shards", "size", "config", "pool",
+                 "worker_stats")
 
     def __init__(
         self,
         engine: ConfidenceEngine,
-        lineages: Iterable[Lineage],
-        *,
-        workers: int,
-        executor_kind: Optional[str] = None,
-        epsilon: Optional[float] = None,
-        error_kind: Optional[str] = None,
-        initial_steps: Optional[int] = None,
-        step_growth: Optional[int] = None,
-        max_steps: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
-        run_to_guarantee: bool = False,
+        kind: str,
+        shards: int,
+        size: int,
     ) -> None:
-        config = engine.config
         self.engine = engine
-        self.epsilon = config.epsilon if epsilon is None else epsilon
-        self.error_kind = (
-            config.error_kind if error_kind is None else error_kind
-        )
-        if initial_steps is None:
-            initial_steps = config.initial_steps
-        self.step_growth = (
-            config.step_growth if step_growth is None else step_growth
-        )
-        # Mirror BatchComputation: the refinement cap is the *argument*
-        # (engine-config max_steps applies per compute call, not here).
-        self.max_steps = max_steps
-        self.deadline_seconds = (
-            config.deadline_seconds
-            if deadline_seconds is None
-            else deadline_seconds
-        )
-        self.dnfs: List[DNF] = [
-            lineage.to_dnf() if isinstance(lineage, Formula) else lineage
-            for lineage in lineages
-        ]
-        if not self.dnfs:
-            raise ValueError("sharded batch needs at least one lineage")
-        self.workers = max(1, int(workers))
-        self.executor_kind = (
-            config.executor_kind if executor_kind is None else executor_kind
-        )
-        if self.executor_kind not in ("process", "thread"):
-            raise ValueError(
-                "executor_kind must be 'process' or 'thread', got "
-                f"{self.executor_kind!r}"
-            )
-        self.shards = min(self.workers, len(self.dnfs))
+        self.kind = kind
+        self.shards = shards
+        self.size = size
         # Workers never recurse into sharding, never sample (MC is
         # finalized on the coordinator, deterministic under rng_seed),
         # and never compile circuits mid-refinement (round results are
         # replaced, and payloads stay small); final-answer circuits
         # are compiled in one dedicated round and shipped back
-        # serialized (compile_final_circuits).
-        self._shard_config = config.replace(
+        # serialized (compile_circuits).
+        self.config = engine.config.replace(
             workers=1, mc_fallback=False, max_total_steps=None,
             compile_circuits=False,
         )
-        self._started = clock.monotonic()
-        self._pool: Optional[WorkerPool] = None
+        self.pool: Optional[WorkerPool] = None
         #: Latest cache stats per worker (shard id for threads, pid for
-        #: processes) — the ingredients of :meth:`cache_stats`.
+        #: processes).
         self.worker_stats: Dict[object, Dict[str, int]] = {}
 
-        self._single_pass = run_to_guarantee
-        self.budgets: List[Optional[int]]
-        if run_to_guarantee:
-            # Full per-call budget, resolved the way compute() would:
-            # the explicit argument, else the engine config's cap.
-            full = (
-                config.max_steps if max_steps is None else max_steps
-            )
-            self.budgets = [full] * len(self.dnfs)
-        else:
-            self.budgets = [
-                self._capped(initial_steps) for _ in self.dnfs
-            ]
-        self.total_steps = 0
-        self.results: List[EngineResult] = [None] * len(self.dnfs)  # type: ignore[list-item]
-        # Initial pass: every tuple once, dealt round-robin by index.
-        self._execute_round(list(range(len(self.dnfs))), initial=True)
+    def close(self) -> None:
+        """Drop the pool lease; the pool itself stays on the engine."""
+        self.pool = None
 
-    # -- budget / deadline bookkeeping (serial-batch semantics) ----------
-    def _capped(self, budget: int) -> int:
-        if self.max_steps is not None:
-            return min(budget, self.max_steps)
-        return budget
-
-    def remaining_seconds(self) -> Optional[float]:
-        """Time left on the whole-batch deadline (``None`` = unbounded)."""
-        if self.deadline_seconds is None:
-            return None
-        return self.deadline_seconds - (clock.monotonic() - self._started)
-
-    def out_of_time(self) -> bool:
-        remaining = self.remaining_seconds()
-        return remaining is not None and remaining <= 0.0
-
-    def converged(self) -> bool:
-        """Has every tuple certified the requested guarantee?"""
-        return all(result.converged for result in self.results)
-
-    def refinable(
-        self, indices: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        """Indices that can still make progress (unconverged, headroom)."""
-        if indices is None:
-            indices = range(len(self.dnfs))
-        out = []
-        for index in indices:
-            if self.results[index].converged:
-                continue
-            budget = self.budgets[index]
-            if budget is None:
-                continue  # already ran unbounded: nothing left to grow
-            if self.max_steps is not None and budget >= self.max_steps:
-                continue
-            out.append(index)
-        return out
-
-    def widest(
-        self, indices: Optional[Sequence[int]] = None
-    ) -> Optional[int]:
-        """The refinable tuple with the widest certified interval."""
-        candidates = self.refinable(indices)
-        if not candidates:
-            return None
-        return max(
-            candidates, key=lambda index: self.results[index].width()
+    def _acquire(self) -> WorkerPool:
+        self.pool = acquire_worker_pool(
+            self.engine, self.kind, self.shards, self.size, self.config
         )
-
-    def __len__(self) -> int:
-        return len(self.dnfs)
-
-    # -- executor plumbing ----------------------------------------------
-    def _ensure_executor(self) -> Executor:
-        """The engine's pool, re-validated every round.
-
-        Revalidation is two integer comparisons in the warm case; a
-        rebuild only happens when the pool cannot serve this batch —
-        wrong kind, too few workers, or (process pools) new atoms
-        interned since the snapshot was shipped.
-        """
-        pool = acquire_worker_pool(
-            self.engine,
-            self.executor_kind,
-            self.shards,
-            self.workers,
-            self._shard_config,
-        )
-        self._pool = pool
-        return pool.executor
+        return self.pool
 
     @contextmanager
-    def _locked_round(
-        self, executor: Optional[Executor] = None
-    ) -> Iterator[Executor]:
-        """Hold the pool's round lock around one parallel round.
+    def _locked_pool(self) -> Iterator[WorkerPool]:
+        """The engine's pool, held under its round lock for one round.
 
         Whole rounds serialize on the pool: concurrent batches on one
         engine interleave rounds instead of racing the single-threaded
@@ -683,51 +549,32 @@ class ShardedBatchComputation:
         re-validate under the lock and re-acquire if so, instead of
         submitting on a shut-down executor.
         """
-        if executor is None:
-            executor = self._ensure_executor()
-        pool = self._pool
-        assert pool is not None
+        pool = self._acquire()
         for _attempt in range(8):
             pool.round_lock.acquire()
-            if (
-                self.engine._worker_pools.get(self.executor_kind)
-                is pool
-            ):
+            if self.engine._worker_pools.get(self.kind) is pool:
                 break
             pool.round_lock.release()
-            self._pool = None
-            executor = self._ensure_executor()
-            pool = self._pool
-            assert pool is not None
+            pool = self._acquire()
         else:  # pragma: no cover - displacement storm
             raise RuntimeError(
                 "worker pool kept being displaced by concurrent batches"
             )
         try:
-            yield executor
+            yield pool
         finally:
             pool.round_lock.release()
 
-    def close(self) -> None:
-        """Release this batch's reference to the engine's pool.
-
-        The pool itself stays alive on the engine (that amortization is
-        the point); shut it down with ``engine.close()`` when the
-        engine is retired, or rely on the GC finalizer.
-        """
-        self._pool = None
-
-    def _evict_pool(self) -> None:
+    def _evict(self) -> None:
         """Drop a broken pool from the engine so the next batch heals.
 
         A crashed worker (OOM kill, segfault) breaks the executor for
         good; without eviction every later batch on this engine would
         inherit the corpse.  The current batch still surfaces the
-        error — matching the historical per-batch-pool behaviour,
-        where the *next* batch simply built a fresh pool.
+        error; the *next* batch simply builds a fresh pool.
         """
-        pool = self._pool
-        self._pool = None
+        pool = self.pool
+        self.pool = None
         if pool is None:
             return
         with self.engine._pool_lock:
@@ -735,329 +582,146 @@ class ShardedBatchComputation:
             for kind, candidate in list(pools.items()):
                 if candidate is pool:
                     del pools[kind]
-        # Called from inside this batch's own round (round_lock held
-        # by us), so closing here cannot yank the pool from under a
-        # concurrent round.
+        # Called from inside our own round (round_lock held), so
+        # closing here cannot yank the pool from under another round.
         pool.close()
 
-    def __enter__(self) -> "ShardedBatchComputation":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Cache counters aggregated across every worker seen so far."""
-        return DecompositionCache.merge_stats(self.worker_stats.values())
-
-    # -- execution -------------------------------------------------------
-    def _submit_shard(
+    def _round(
         self,
-        executor: Executor,
-        shard: int,
-        items: List[_WorkItem],
-        deadline_remaining: Optional[float],
-    ) -> Future:
-        if self.executor_kind == "thread":
-            assert self._pool is not None
-            engines = self._pool.thread_engines
-            assert engines is not None
-            return executor.submit(
-                _run_items,
-                engines[shard],
-                items,
-                self.epsilon,
-                self.error_kind,
-                deadline_remaining,
-                shard,
-            )
-        return executor.submit(
-            _process_run_items,
-            items,
-            self.epsilon,
-            self.error_kind,
-            deadline_remaining,
-        )
+        bodies: Tuple[Callable[..., tuple], Callable[..., tuple]],
+        items: Sequence[_WorkItem],
+        task_args: Callable[[], tuple],
+    ) -> List[tuple]:
+        """Deal ``items`` round-robin across the shards and run them.
 
-    def _execute_round(
-        self, indices: List[int], *, initial: bool = False
-    ) -> None:
-        """Run one parallel round over ``indices`` and merge the results.
-
-        ``indices`` arrive pre-ordered (by index for the initial pass,
-        widest-first for refinement rounds) and are dealt round-robin
-        across the shards; merge order is by tuple index, independent of
-        pool completion order, so the whole round is deterministic.
+        ``bodies`` is the ``(thread, process)`` task-body pair: a
+        thread body takes ``(worker engine, items, *args, shard)``, a
+        process body ``(items, *args)`` and runs on the per-process
+        engine.  ``task_args`` is evaluated once the round lock is
+        held, so a deadline measured there excludes time spent waiting
+        out another batch's round.  Returns each shard's report minus
+        its trailing ``(cache stats, worker key)``, in shard order —
+        independent of pool completion order.
         """
-        executor = self._ensure_executor()
+        thread_body, process_body = bodies
         encode = (
-            _encode_dnf
-            if self.executor_kind == "process"
-            else (lambda dnf: dnf)
+            _encode_dnf if self.kind == "process" else (lambda dnf: dnf)
         )
         assignments: List[List[_WorkItem]] = [
             [] for _ in range(self.shards)
         ]
-        for position, index in enumerate(indices):
+        for position, (index, dnf, budget) in enumerate(items):
             assignments[position % self.shards].append(
-                (index, encode(self.dnfs[index]), self.budgets[index])
+                (index, encode(dnf), budget)
             )
-        merged: List[Tuple[int, EngineResult]] = []
-        with self._locked_round(executor) as executor:
-            # Budget measured only after the lock is held: waiting out
-            # another batch's round (or a pool rebuild) must come out
-            # of THIS batch's wall-clock allowance, not be handed to
-            # the workers as compute time.
-            deadline_remaining = self.remaining_seconds()
+        reports: List[tuple] = []
+        with self._locked_pool() as pool:
+            args = task_args()
             try:
                 futures = [
-                    self._submit_shard(
-                        executor, shard, items, deadline_remaining
+                    pool.executor.submit(
+                        thread_body, pool.thread_engines[shard],
+                        shard_items, *args, shard,
                     )
-                    for shard, items in enumerate(assignments)
-                    if items
+                    if self.kind == "thread"
+                    else pool.executor.submit(
+                        process_body, shard_items, *args
+                    )
+                    for shard, shard_items in enumerate(assignments)
+                    if shard_items
                 ]
             except (BrokenExecutor, RuntimeError):
                 # submit() raises only when the executor itself is
                 # broken or shut down — either way the pool is a
                 # corpse: evict it so the next batch builds fresh.
-                self._evict_pool()
+                self._evict()
                 raise
             try:
                 for future in futures:
-                    shard_results, stats, worker_key = future.result()
+                    *report, stats, worker_key = future.result()
                     self.worker_stats[worker_key] = stats
-                    merged.extend(shard_results)
+                    reports.append(report)
             except BrokenExecutor:
                 # A worker died mid-task (OOM kill, segfault):
                 # permanent.  Errors raised *by* worker computation
                 # re-raise through result() without this handler — they
                 # must not cost a healthy pool its warm caches.
-                self._evict_pool()
+                self._evict()
                 raise
+        return reports
+
+    def compute(
+        self, batch: BatchComputation, indices: Sequence[int]
+    ) -> List[Tuple[int, EngineResult]]:
+        """One round computing ``indices`` at their current budgets.
+
+        ``indices`` arrive pre-ordered (by index for the initial pass,
+        widest-first for refinement rounds); the results come back
+        ordered by tuple index.
+        """
+        reports = self._round(
+            (_run_items, _process_run_items),
+            [
+                (index, batch.dnfs[index], batch.budgets[index])
+                for index in indices
+            ],
+            lambda: (
+                batch.epsilon, batch.error_kind, batch.remaining_seconds()
+            ),
+        )
+        merged = [pair for (results,) in reports for pair in results]
         merged.sort(key=lambda pair: pair[0])
-        for index, result in merged:
-            if initial:
-                self.results[index] = result
-                self.total_steps += result.steps
-                continue
-            previous = self.results[index]
-            result = _merge_refined(previous, result)
-            self.results[index] = result
-            self.total_steps += result.steps - previous.steps
+        return merged
 
-    # -- final circuit shipping ------------------------------------------
-    def _submit_compile_shard(
-        self, executor: Executor, shard: int, items: List[_WorkItem]
-    ) -> Future:
-        if self.executor_kind == "thread":
-            assert self._pool is not None
-            engines = self._pool.thread_engines
-            assert engines is not None
-            return executor.submit(
-                _compile_items, engines[shard], items, shard
-            )
-        return executor.submit(_process_compile_items, items)
-
-    def compile_final_circuits(self) -> int:
+    def compile_circuits(self, batch: BatchComputation) -> int:
         """One compile round on the warm workers; circuits ship back.
 
         Every final result still missing a circuit is dealt in index
         order round-robin across the shards — the same deal as the
         initial pass, so in the common case each lineage lands on a
         worker whose cache already replayed it.  The worker compiles
-        it (exact or node-budgeted, mirroring the serial attach
-        policy) and serializes it with
-        :func:`repro.circuits.serialize.encode_circuit`; each shard
-        additionally ships one *union* slice of the decomposition-cache
-        cones its compiles walked (shared cones serialized once).
-        The coordinator decodes the circuits onto ``results`` and
-        merges the cache slices into its own
-        :class:`~repro.core.memo.DecompositionCache`, so the final
-        answers carry circuits with **zero cold decomposition steps on
-        the coordinator** — the sharded analogue of the serial path's
-        cheap cache replay.
+        it (exact or node-budgeted, the engine's attach policy) and
+        serializes it with :func:`repro.circuits.serialize.encode_circuit`;
+        each shard additionally ships one *union* slice of the
+        decomposition-cache cones its compiles walked.  The coordinator
+        decodes the circuits onto ``batch.results`` and merges the
+        slices into its own cache, so the final answers carry circuits
+        with **zero cold decomposition steps on the coordinator**.
 
         Returns the number of circuits installed.  Indices a worker
-        could not serialize (payload ``None``) are left for the
-        coordinator's fallback compile in
+        could not serialize are left for the coordinator's fallback
+        compile in
         :meth:`~repro.engine.ConfidenceEngine._attach_batch_circuits`.
         """
-        items: List[Tuple[int, DNF, Optional[int]]] = []
-        for index, result in enumerate(self.results):
-            if result.circuit is not None:
-                continue
-            dnf = self.dnfs[index]
-            max_nodes = (
-                None
-                if _wants_exact_circuit(result)
-                else ConfidenceEngine._circuit_node_budget(
-                    result.steps, dnf
-                )
-            )
-            items.append((index, dnf, max_nodes))
+        items = [
+            (index, batch.dnfs[index],
+             _circuit_max_nodes(result, batch.dnfs[index]))
+            for index, result in enumerate(batch.results)
+            if result.circuit is None
+        ]
         if not items:
             return 0
-        encode = (
-            _encode_dnf
-            if self.executor_kind == "process"
-            else (lambda dnf: dnf)
+        reports = self._round(
+            (_compile_items, _process_compile_items), items, tuple
         )
-        assignments: List[List[_WorkItem]] = [
-            [] for _ in range(self.shards)
-        ]
-        for position, (index, dnf, max_nodes) in enumerate(items):
-            assignments[position % self.shards].append(
-                (index, encode(dnf), max_nodes)
-            )
-        merged: List[_CircuitPayload] = []
-        slices: List[bytes] = []
-        with self._locked_round() as executor:
-            try:
-                futures = [
-                    self._submit_compile_shard(
-                        executor, shard, shard_items
-                    )
-                    for shard, shard_items in enumerate(assignments)
-                    if shard_items
-                ]
-            except (BrokenExecutor, RuntimeError):
-                self._evict_pool()
-                raise
-            try:
-                for future in futures:
-                    payloads, slice_bytes, stats, worker_key = (
-                        future.result()
-                    )
-                    self.worker_stats[worker_key] = stats
-                    merged.extend(payloads)
-                    if slice_bytes is not None:
-                        slices.append(slice_bytes)
-            except BrokenExecutor:
-                self._evict_pool()
-                raise
-        registry = self.engine.registry
         # Bind first so the merged slices survive the engine's next
         # bind instead of being cleared as foreign-config entries.
         cache = self.engine.bind_cache()
-        for slice_bytes in slices:
-            merge_cache_slice(slice_bytes, cache)
+        payloads: List[_CircuitPayload] = []
+        for shard_payloads, slice_bytes in reports:
+            payloads.extend(shard_payloads)
+            if slice_bytes is not None:
+                merge_cache_slice(slice_bytes, cache)
         installed = 0
-        merged.sort(key=lambda payload: payload[0])
-        for index, circuit_bytes in merged:
-            if circuit_bytes is None:
+        for index, record in sorted(payloads, key=lambda pair: pair[0]):
+            if record is None:
                 continue
             circuit, _key = decode_circuit(
-                circuit_bytes, registry, validate=False
+                record, self.engine.registry, validate=False
             )
-            self.results[index].circuit = circuit
+            batch.results[index].circuit = circuit
             installed += 1
         return installed
-
-    def refine(self, index: int) -> EngineResult:
-        """Grow ``index``'s budget and tighten it.
-
-        Mirrors :meth:`repro.engine.BatchComputation.refine`: when a
-        refinable partial circuit exists for the tuple (the batch's own
-        expansion progress, or the coordinator session's cache — the
-        coordinator owns ``circuit_source``), the round expands the
-        widest residual leaf in place on the coordinator (strategy
-        ``"circuit-refine"``); otherwise the tuple is recomputed on a
-        worker with a grown budget, as before.
-        """
-        budget = self.budgets[index]
-        if budget is not None:
-            self.budgets[index] = self._capped(budget * self.step_growth)
-        previous = self.results[index]
-        circuit = resumable_circuit(
-            self.engine, self.dnfs[index], previous.circuit
-        )
-        if circuit is not None:
-            node_budget = self.budgets[index]
-            if node_budget is None:
-                node_budget = max(previous.steps, 64)
-            result = _circuit_refine_result(
-                self.engine,
-                self.dnfs[index],
-                circuit,
-                previous,
-                node_budget,
-                self.epsilon,
-                self.error_kind,
-            )
-            if (
-                result.converged
-                or result.steps != previous.steps
-                or result.width() < previous.width()
-            ):
-                self.results[index] = result
-                self.total_steps += result.steps - previous.steps
-                return result
-            # Expansion stalled: fall through to the worker re-run.
-        self._execute_round([index])
-        return self.results[index]
-
-    def step(
-        self, indices: Optional[Sequence[int]] = None
-    ) -> Optional[int]:
-        """One work-stealing refinement round; the widest index, or
-        ``None`` when nothing is refinable.
-
-        Takes the (up to) ``shards`` widest refinable tuples — from
-        ``indices`` when given — grows each one's budget, and deals them
-        widest-first round-robin across the shards.  The serial batch
-        refines exactly one tuple per step; a sharded round refines one
-        per shard, which is the same prioritized schedule saturating the
-        pool instead of a single core.
-        """
-        candidates = self.refinable(indices)
-        if not candidates:
-            return None
-        candidates.sort(
-            key=lambda index: (-self.results[index].width(), index)
-        )
-        chosen = candidates[: self.shards]
-        for index in chosen:
-            budget = self.budgets[index]
-            if budget is not None:
-                self.budgets[index] = self._capped(
-                    budget * self.step_growth
-                )
-        self._execute_round(chosen)
-        return chosen[0]
-
-    def run(
-        self, max_total_steps: Optional[int] = None
-    ) -> List[EngineResult]:
-        """Refine until convergence, budget exhaustion, or deadline.
-
-        The initial pass already ran in the constructor; this is the
-        round loop :meth:`ConfidenceEngine.compute_many` drives (MC
-        finalization stays with the engine).  A ``run_to_guarantee``
-        batch is single-pass by construction — every tuple already got
-        its full budget, exactly like the serial unbudgeted path — so
-        there is nothing left to arbitrate.
-        """
-        if self._single_pass:
-            return self.results
-        while (
-            not self.converged()
-            and (
-                max_total_steps is None
-                or self.total_steps < max_total_steps
-            )
-            and not self.out_of_time()
-        ):
-            if self.step() is None:
-                break
-        return self.results
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedBatchComputation({len(self.dnfs)} lineages, "
-            f"{self.shards} {self.executor_kind} shards, "
-            f"steps={self.total_steps})"
-        )
 
 
 def _shutdown_executor(executor: Executor) -> None:

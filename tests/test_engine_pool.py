@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.events import Atom
 from repro.core.variables import intern_version
-from repro.engine import ConfidenceEngine, EngineConfig
+from repro.engine import BatchComputation, ConfidenceEngine, EngineConfig
 
 from test_parallel_differential import exact_mismatch, make_group
 
@@ -216,3 +216,73 @@ class TestProcessSnapshotInvalidation:
             )
             for left, right in zip(serial, results):
                 assert exact_mismatch(left, right) is None
+
+
+class TestInlineRounds:
+    """A batch with one shard runs inline: no pool is ever started."""
+
+    @staticmethod
+    def _outcome(results):
+        return [
+            (r.probability, r.lower, r.upper, r.strategy, r.converged,
+             r.steps)
+            for r in results
+        ]
+
+    def test_per_call_workers_1_overrides_a_pooled_config(self):
+        registry, dnfs = make_group("pin", 11, 8)
+        fields = dict(try_read_once=False, initial_steps=1)
+        serial = ConfidenceEngine(registry, EngineConfig(**fields))
+        expected = serial.compute_many(dnfs, max_total_steps=50)
+        engine = thread_engine(registry, **fields)
+        with engine:
+            results = engine.compute_many(
+                dnfs, workers=1, max_total_steps=50
+            )
+            assert engine._pool_starts == 0
+        assert self._outcome(results) == self._outcome(expected)
+
+    def test_per_call_workers_1_never_pickles_the_config(self):
+        # A process config with an unpicklable selector only fails
+        # when a process pool is actually built; workers=1 must not
+        # build one.
+        registry, dnfs = make_group("pip", 12, 6)
+        engine = ConfidenceEngine(
+            registry,
+            EngineConfig(
+                workers=2,
+                executor_kind="process",
+                choose_variable=lambda dnf: dnf.most_frequent_variable(),
+            ),
+        )
+        with engine:
+            results = engine.compute_many(
+                dnfs, workers=1, max_total_steps=50
+            )
+            assert len(results) == len(dnfs)
+            assert engine._pool_starts == 0
+
+    def test_empty_and_single_lineage_batches_run_inline(self):
+        registry, dnfs = make_group("pis", 13, 1)
+        engine = thread_engine(registry)
+        with engine:
+            with engine.refine_many([], workers=2) as empty:
+                assert len(empty) == 0
+                assert empty.shards == 0
+                assert empty.step() is None
+            with engine.refine_many(dnfs, workers=2) as single:
+                assert single.shards == 1
+                single.run(max_total_steps=100)
+            assert engine._pool_starts == 0
+            assert not engine._worker_pools
+
+    def test_run_to_guarantee_batch_has_nothing_to_refine(self):
+        registry, dnfs = make_group("pig", 14, 6)
+        engine = ConfidenceEngine(
+            registry, EngineConfig(max_steps=2, try_read_once=False)
+        )
+        batch = BatchComputation(engine, dnfs, run_to_guarantee=True)
+        assert batch.budgets == [2] * len(dnfs)
+        assert not batch.converged()  # the tiny budget left work undone
+        assert batch.refinable() == []
+        assert batch.step() is None

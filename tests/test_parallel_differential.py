@@ -30,8 +30,7 @@ from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.semantics import brute_force_probability
 from repro.core.variables import VariableRegistry
-from repro.engine import ConfidenceEngine, EngineConfig
-from repro.engine_parallel import ShardedBatchComputation
+from repro.engine import BatchComputation, ConfidenceEngine, EngineConfig
 
 # ----------------------------------------------------------------------
 # Case generation (seeded, shrinkable)
@@ -293,7 +292,7 @@ class TestCaseVolume:
 
 
 # ----------------------------------------------------------------------
-# Sharded-batch unit behaviour
+# Sharded (pooled) batch unit behaviour
 # ----------------------------------------------------------------------
 class TestShardedBatchMechanics:
     def _batch(self, workers=3, cases=9, **config_fields):
@@ -301,7 +300,7 @@ class TestShardedBatchMechanics:
         engine = ConfidenceEngine(
             registry, EngineConfig(**config_fields)
         )
-        batch = ShardedBatchComputation(
+        batch = BatchComputation(
             engine,
             dnfs,
             workers=workers,
@@ -360,7 +359,7 @@ class TestShardedBatchMechanics:
         registry, dnfs = make_group("pdm", 78, 3)
         engine = ConfidenceEngine(registry)
         with pytest.raises(ValueError, match="executor_kind"):
-            ShardedBatchComputation(
+            BatchComputation(
                 engine, dnfs, workers=2, executor_kind="fiber"
             )
 
@@ -375,7 +374,7 @@ class TestShardedBatchMechanics:
         # Construction runs the initial pass, which needs the executor —
         # so the picklability error surfaces directly from __init__.
         with pytest.raises(ValueError, match="picklable"):
-            ShardedBatchComputation(
+            BatchComputation(
                 engine, dnfs, workers=2, executor_kind="process"
             )
 

@@ -446,6 +446,40 @@ class TestGuidedTopK:
             orderings.append([r.values for r in ranked])
         assert orderings[0] == orderings[1]
 
+    def test_guidance_ignores_circuits_of_another_registry(self):
+        # refine() never resumes a circuit compiled on another
+        # registry, so gradient targeting must not score one either:
+        # with only foreign circuits around, the classic schedule runs.
+        from repro.db.topk import _gradient_target
+
+        registry, foreign = VariableRegistry(), VariableRegistry()
+        answers = self._answers(registry)
+        foreign_engine = ConfidenceEngine(foreign, epsilon=0.0)
+        cache = CircuitCache()
+        for _values, dnf in self._answers(foreign):
+            cache.put(
+                dnf,
+                foreign_engine.compile_circuit(dnf, max_nodes=40),
+                exact_only=False,
+            )
+        engine = ConfidenceEngine(registry, epsilon=0.0)
+        engine.circuit_source = cache.get
+        batch = engine.refine_many(
+            [dnf for _values, dnf in answers], initial_steps=1
+        )
+        results = batch.results
+        order = sorted(
+            range(len(results)), key=lambda index: -results[index].upper
+        )
+        kth_lower = results[order[0]].lower
+        best_excluded_upper = max(results[i].upper for i in order[1:])
+        assert kth_lower < best_excluded_upper  # ranking not yet certified
+        boundary = [i for i in order if not results[i].converged]
+        assert all(cache.get(batch.dnfs[i]) is not None for i in boundary)
+        assert _gradient_target(
+            batch, order, boundary, 1, kth_lower, best_excluded_upper, 0.0
+        ) is None
+
     def test_guided_defaults_on(self):
         registry = VariableRegistry()
         answers = self._answers(registry, count=3)
