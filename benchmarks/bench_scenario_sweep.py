@@ -16,8 +16,8 @@ Per circuit the bench:
 
 * generates ``WORLDS`` seeded override scenarios (1–4 tuple
   probabilities nudged per world, the shape of a sensitivity probe);
-* times the scalar sweep (``vectorized=False``), recording per-world
-  latencies for p50/p99;
+* times the scalar reference (``circuit.evaluate`` per world),
+  recording per-world latencies for p50/p99;
 * times the vectorized sweep and asserts the values are
   **bit-identical** to the scalar ones;
 * repeats the comparison for batched gradients on a subset of worlds
@@ -188,7 +188,7 @@ def main() -> int:
     gradient_scenarios = scenarios[:GRADIENT_WORLDS]
     started = time.perf_counter()
     for _label, circuit in circuits:
-        sweep_gradients(circuit, gradient_scenarios, vectorized=False)
+        [circuit.gradients(overrides) for overrides in gradient_scenarios]
     gradients_scalar = time.perf_counter() - started
     started = time.perf_counter()
     for _label, circuit in circuits:

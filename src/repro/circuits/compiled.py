@@ -13,8 +13,8 @@ circuit evaluation unlocks:
 * :meth:`what_if_top_k` — re-rank the answers under hypothetical
   probabilities without touching the engine;
 * :meth:`sweep` / :meth:`what_if_grid` — evaluate every answer under a
-  whole list of override scenarios at once, vectorized through the
-  :mod:`repro.circuits.kernels` numpy backend when available.
+  whole list of override scenarios at once, through the
+  :mod:`repro.circuits.kernels` numpy backend when numpy is importable.
 
 Obtained from :meth:`repro.db.session.QueryResult.compile`.
 """
@@ -121,51 +121,38 @@ class CompiledResult:
         )
 
     def sweep(
-        self,
-        scenarios: Sequence[Optional[ProbOverrides]],
-        *,
-        vectorized: Optional[bool] = None,
+        self, scenarios: Sequence[Optional[ProbOverrides]]
     ) -> "SweepResult":
         """Every answer's confidence under every scenario, one call.
 
         Each scenario is an override map in the :meth:`evaluate`
         vocabulary; the result holds a ``(answers × scenarios)`` value
-        grid.  With numpy available (``vectorized=None`` auto, or
-        ``True`` to insist) each circuit is lowered once and the whole
-        scenario batch flows through it as a matrix — the scalar
-        fallback (``False``, or numpy missing) computes the identical
-        grid one evaluation at a time.
+        grid.  With numpy importable each circuit is lowered once and
+        the whole scenario batch flows through it as a matrix; without
+        it the scalar fallback computes the identical grid one
+        evaluation at a time.
         """
         from .sweep import SweepResult, sweep_values
         from .kernels import kernel_backend
 
-        backend = kernel_backend(vectorized)
         values = [
-            sweep_values(circuit, scenarios, vectorized=vectorized)
-            for _values, circuit in self.pairs
+            sweep_values(circuit, scenarios) for _values, circuit in self.pairs
         ]
-        return SweepResult(self.answers, values, backend)
+        return SweepResult(self.answers, values, kernel_backend())
 
     def what_if_grid(
-        self,
-        variable: Hashable,
-        probabilities: Sequence[float],
-        *,
-        vectorized: Optional[bool] = None,
+        self, variable: Hashable, probabilities: Sequence[float]
     ) -> "SweepResult":
         """Sweep one Boolean tuple's probability across a grid.
 
         ``what_if_grid("t", [0.0, 0.1, ..., 1.0])`` answers "how does
         every answer's confidence respond as ``P(t)`` moves?" — the
-        one-dimensional sensitivity scan, as a single vectorized sweep
-        per answer circuit.
+        one-dimensional sensitivity scan, as a single sweep per answer
+        circuit.
         """
         from .sweep import what_if_scenarios
 
-        return self.sweep(
-            what_if_scenarios(variable, probabilities),
-            vectorized=vectorized,
-        )
+        return self.sweep(what_if_scenarios(variable, probabilities))
 
     def what_if_top_k(
         self,

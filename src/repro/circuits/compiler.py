@@ -177,7 +177,6 @@ def compile_circuit(
     sort_buckets: bool = True,
     read_once_buckets: bool = False,
     stats: Optional[CircuitCompilationStats] = None,
-    vectorized: Optional[bool] = None,
 ) -> Circuit:
     """Compile lineage into an arithmetic :class:`Circuit`.
 
@@ -224,7 +223,6 @@ def compile_circuit(
                 registry,
                 sort_by_probability=sort_buckets,
                 allow_read_once_buckets=read_once_buckets,
-                vectorized=vectorized,
             )
             bounds_cache[leaf] = bounds
         return bounds

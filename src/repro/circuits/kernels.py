@@ -32,16 +32,15 @@ evaluation and bounds agree with :meth:`Circuit.evaluate` /
 Gradients accumulate parent contributions in a different order than the
 scalar backward sweep and agree to ~1e-12 instead.
 
-numpy is an *optional* extra (``pip install repro[fast]``): everything
-here degrades gracefully when it is missing — callers consult
-:func:`kernel_backend` and keep the pure-Python path.  Setting the
-``REPRO_NO_NUMPY`` environment variable before import forces the scalar
-backend even where numpy is installed (the CI fallback leg uses this).
+numpy is an *optional* extra (``pip install repro[fast]``).  One rule
+picks the backend, with no knob to override it: numpy when it is
+importable, the pure-Python scalar sweeps otherwise.  Callers consult
+:func:`kernel_backend` and keep the scalar path when it reports
+``"scalar"``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (
     Any,
     Dict,
@@ -88,22 +87,14 @@ __all__ = [
 BACKEND_NUMPY = "numpy"
 BACKEND_SCALAR = "scalar"
 
-#: Environment switch forcing the scalar backend even when numpy is
-#: importable — lets the differential suite (and the CI fallback leg)
-#: exercise the pure-Python path without uninstalling anything.
-DISABLE_ENV = "REPRO_NO_NUMPY"
-
 try:
-    if os.environ.get(DISABLE_ENV):
-        _np = None
-    else:
-        import numpy as _np  # type: ignore[no-redef]
-except ImportError:  # pragma: no cover - exercised via DISABLE_ENV
-    _np = None
+    import numpy as _np
+except ImportError:
+    _np = None  # type: ignore[assignment]
 
 
 class KernelUnavailableError(RuntimeError):
-    """Raised when vectorized execution is *forced* but numpy is absent."""
+    """Raised when a numpy kernel is built directly but numpy is absent."""
 
 
 def numpy_available() -> bool:
@@ -116,28 +107,16 @@ def require_numpy() -> Any:
     if _np is None:
         raise KernelUnavailableError(
             "vectorized kernels require numpy, which is not importable "
-            "in this environment (or REPRO_NO_NUMPY is set). Install "
-            "the optional extra — pip install repro[fast] — or leave "
-            "EngineConfig.vectorized unset for the automatic scalar "
-            "fallback."
+            "in this environment. Install the optional extra — pip "
+            "install repro[fast] — or use the sweep functions, which "
+            "fall back to the scalar path automatically."
         )
     return _np
 
 
-def kernel_backend(vectorized: Optional[bool] = None) -> str:
-    """Resolve a ``vectorized`` preference to a backend name.
-
-    ``None`` (auto) picks numpy when importable and falls back to the
-    scalar sweeps otherwise; ``False`` forces scalar; ``True`` demands
-    numpy and raises :class:`KernelUnavailableError` when it is missing.
-    """
-    if vectorized is False:
-        return BACKEND_SCALAR
-    if _np is None:
-        if vectorized is True:
-            require_numpy()
-        return BACKEND_SCALAR
-    return BACKEND_NUMPY
+def kernel_backend() -> str:
+    """The backend in use: numpy when importable, scalar otherwise."""
+    return BACKEND_SCALAR if _np is None else BACKEND_NUMPY
 
 
 # ----------------------------------------------------------------------
@@ -148,22 +127,22 @@ def _registry_window(registry: VariableRegistry) -> Tuple[Any, int]:
 
     Unregistered slots hold NaN so batched consumers can detect them and
     fall back to the scalar lookup.  The array is cached on the registry
-    keyed by window length; a slot registered *in place* after caching
-    (a ``None`` hole filled without growing the list) shows up as a
-    stale NaN, which only costs the fallback — registered probabilities
-    never change, so a cached non-NaN entry is always current.
+    keyed by its atom-probability version, which every registration,
+    :meth:`~VariableRegistry.set_distribution` and removal bumps — so a
+    probability rewritten in place never reaches a kernel stale.
     """
     np = require_numpy()
-    probs = registry._atom_probs
+    version = registry._atom_probs_version
     cached = getattr(registry, "_kernel_prob_window", None)
-    if cached is not None and cached[0] == len(probs):
+    if cached is not None and cached[0] == version:
         return cached[1], registry._atom_base
+    probs = registry._atom_probs
     window = np.fromiter(
         (float("nan") if prob is None else prob for prob in probs),
         dtype=np.float64,
         count=len(probs),
     )
-    registry._kernel_prob_window = (len(probs), window)
+    registry._kernel_prob_window = (version, window)
     return window, registry._atom_base
 
 

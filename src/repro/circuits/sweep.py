@@ -2,12 +2,13 @@
 
 A *sweep* evaluates a compiled circuit under a whole list of override
 scenarios — a sensitivity grid, a what-if parameter scan, a stress
-batch of probability worlds — in one call.  On the numpy backend
+batch of probability worlds — in one call.  When numpy is importable
 (:mod:`repro.circuits.kernels`) the circuit is lowered once and the
 scenarios flow through it as a ``(scenarios × atoms)`` matrix; without
 numpy the same functions fall back to per-scenario scalar sweeps, so
 results are available (and, for evaluation and bounds, bit-identical)
-on every install.
+on every install.  There is no switch between the two: the import
+decides.
 
 Scenario maps use exactly the :meth:`Circuit.evaluate` override
 vocabulary — ``{variable: P(True)}`` floats for Boolean variables or
@@ -97,16 +98,13 @@ def _scenario_matrix(
     return matrix
 
 
-def _use_kernel(circuit: Circuit, vectorized: Optional[bool]) -> bool:
-    backend = kernel_backend(vectorized)
-    return backend == BACKEND_NUMPY and len(circuit.kinds) > 0
+def _use_kernel(circuit: Circuit) -> bool:
+    return kernel_backend() == BACKEND_NUMPY and len(circuit.kinds) > 0
 
 
 def sweep_values(
     circuit: Circuit,
     scenarios: Scenarios,
-    *,
-    vectorized: Optional[bool] = None,
 ) -> List[float]:
     """``P(Φ)`` per scenario (interval midpoints on partial circuits).
 
@@ -114,7 +112,7 @@ def sweep_values(
     numpy backend just pays one batched sweep instead of one Python
     sweep per scenario.
     """
-    if not _use_kernel(circuit, vectorized):
+    if not _use_kernel(circuit):
         return [circuit.evaluate(overrides) for overrides in scenarios]
     kernel = circuit_kernel(circuit)
     resolved_list, touched_list = _resolved_inputs(circuit, scenarios)
@@ -125,14 +123,12 @@ def sweep_values(
 def sweep_bounds(
     circuit: Circuit,
     scenarios: Scenarios,
-    *,
-    vectorized: Optional[bool] = None,
 ) -> List[Bounds]:
     """Certified ``[lower, upper]`` per scenario (points when exact).
 
     Bit-identical to per-scenario :meth:`Circuit.evaluate_bounds`.
     """
-    if not _use_kernel(circuit, vectorized):
+    if not _use_kernel(circuit):
         return [
             circuit.evaluate_bounds(overrides) for overrides in scenarios
         ]
@@ -150,7 +146,6 @@ def refine_sweep_bounds(
     compile_subcircuit: "Callable[[object], Circuit]",
     target_width: float = 0.0,
     max_rounds: int = 16,
-    vectorized: Optional[bool] = None,
 ) -> Tuple[Circuit, List[Bounds]]:
     """Tighten a partial circuit's bounds across many scenarios at once.
 
@@ -173,7 +168,7 @@ def refine_sweep_bounds(
     """
     from .compiler import expand_residuals
 
-    bounds = sweep_bounds(circuit, scenarios, vectorized=vectorized)
+    bounds = sweep_bounds(circuit, scenarios)
     rounds = 0
     while circuit.residuals and rounds < max_rounds:
         if all(high - low <= target_width for low, high in bounds):
@@ -186,7 +181,7 @@ def refine_sweep_bounds(
         circuit = expand_residuals(
             circuit, {index: compile_subcircuit(sub_dnf)}
         )
-        bounds = sweep_bounds(circuit, scenarios, vectorized=vectorized)
+        bounds = sweep_bounds(circuit, scenarios)
         rounds += 1
     return circuit, bounds
 
@@ -194,8 +189,6 @@ def refine_sweep_bounds(
 def sweep_gradients(
     circuit: Circuit,
     scenarios: Scenarios,
-    *,
-    vectorized: Optional[bool] = None,
 ) -> List[Dict[Hashable, float]]:
     """Per-scenario Boolean-variable gradients ``∂P/∂p(x)``.
 
@@ -205,7 +198,7 @@ def sweep_gradients(
     per variable in the same order as the scalar method; agreement is
     ~1e-12 (adjoint accumulation order differs), not bit-exact.
     """
-    if not _use_kernel(circuit, vectorized):
+    if not _use_kernel(circuit):
         return [circuit.gradients(overrides) for overrides in scenarios]
     kernel = circuit_kernel(circuit)
     resolved_list, touched_list = _resolved_inputs(circuit, scenarios)

@@ -418,7 +418,6 @@ def approximate_probability(
     max_steps: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     cache: Optional[DecompositionCache] = None,
-    vectorized: Optional[bool] = None,
 ) -> ApproximationResult:
     """Compute an ε-approximation of ``P(Φ)`` with certified bounds.
 
@@ -449,10 +448,6 @@ def approximate_probability(
         omitted.  Shannon expansion revisits identical residual DNFs
         constantly, so even the per-call cache collapses most repeat
         subtrees into single folds.
-    vectorized:
-        Backend preference for the batched leaf-bounds clause marginals
-        (see :func:`repro.core.bounds.bucket_partition`); the bounds are
-        bit-identical either way.
 
     Returns
     -------
@@ -544,7 +539,6 @@ def approximate_probability(
                 registry,
                 sort_by_probability=sort_buckets,
                 allow_read_once_buckets=read_once_buckets,
-                vectorized=vectorized,
             )
             bounds_cache[leaf] = bounds
         return bounds

@@ -18,7 +18,7 @@ linear time.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .dnf import DNF
 from .events import Clause
@@ -33,41 +33,25 @@ Bounds = Tuple[float, float]
 #: scalar loop it replaces.
 _VECTORIZE_MIN_CLAUSES = 8
 
-#: Lazy handle on :mod:`repro.circuits.kernels` (imported on first use —
-#: a module-level import would cycle through the circuits package, whose
-#: compiler imports this module).  ``False`` marks a failed import.
-_kernels: Any = None
-
 
 def _clause_probabilities(
-    clauses: Sequence[Clause],
-    registry: VariableRegistry,
-    vectorized: Optional[bool],
+    clauses: Sequence[Clause], registry: VariableRegistry
 ) -> List[float]:
     """Marginal probability per clause, batched when it pays off.
 
     The d-tree leaf-bounds hot path: every :func:`bucket_partition`
     call starts by computing all clause marginals.  With numpy
-    available (and unless ``vectorized=False``) the products run over
-    the registry's dense probability window as one array pass per
-    clause arity — bit-identical to :meth:`Clause.probability`, which
-    multiplies the same atom probabilities in the same order.
+    importable the products run over the registry's dense probability
+    window as one array pass per clause arity — bit-identical to
+    :meth:`Clause.probability`, which multiplies the same atom
+    probabilities in the same order.
     """
-    global _kernels
-    if (
-        vectorized is False
-        or len(clauses) < _VECTORIZE_MIN_CLAUSES
-    ):
-        return [clause.probability(registry) for clause in clauses]
-    if _kernels is None:
-        try:
-            from ..circuits import kernels as _kernels_module
-        except ImportError:  # pragma: no cover - circuits ships with core
-            _kernels = False
-        else:
-            _kernels = _kernels_module
-    if _kernels is not False:
-        batched = _kernels.clause_probability_batch(clauses, registry)
+    if len(clauses) >= _VECTORIZE_MIN_CLAUSES:
+        # Imported here: the circuits package's compiler imports this
+        # module, so a module-level import would cycle.
+        from ..circuits.kernels import clause_probability_batch
+
+        batched = clause_probability_batch(clauses, registry)
         if batched is not None:
             return batched
     return [clause.probability(registry) for clause in clauses]
@@ -100,7 +84,6 @@ def bucket_partition(
     *,
     sort_by_probability: bool = True,
     allow_read_once_buckets: bool = False,
-    vectorized: Optional[bool] = None,
 ) -> BucketPartition:
     """Greedy first-fit partitioning of clauses into independent buckets.
 
@@ -112,18 +95,12 @@ def bucket_partition(
     bucket factors into one-occurrence form; the bucket probability is then
     evaluated on the factored form.
 
-    ``vectorized`` selects the clause-marginal backend (``None`` auto:
-    numpy-batched when available and the clause set is large enough,
-    ``False`` forces the scalar loop); the partition — and therefore
-    the bounds — is bit-identical either way.
+    Clause marginals are numpy-batched when numpy is importable and the
+    clause set is large enough; the partition — and therefore the
+    bounds — is bit-identical either way.
     """
     clauses = dnf.sorted_clauses()
-    probabilities = dict(
-        zip(
-            clauses,
-            _clause_probabilities(clauses, registry, vectorized),
-        )
-    )
+    probabilities = dict(zip(clauses, _clause_probabilities(clauses, registry)))
     if sort_by_probability:
         clauses.sort(
             key=lambda clause: (-probabilities[clause], clause.atom_ids)
@@ -174,7 +151,6 @@ def independent_bounds(
     *,
     sort_by_probability: bool = True,
     allow_read_once_buckets: bool = False,
-    vectorized: Optional[bool] = None,
 ) -> Bounds:
     """``Independent(Φ)`` of Fig. 3: quick lower/upper bounds for ``P(Φ)``.
 
@@ -195,6 +171,5 @@ def independent_bounds(
         registry,
         sort_by_probability=sort_by_probability,
         allow_read_once_buckets=allow_read_once_buckets,
-        vectorized=vectorized,
     )
     return partition.bounds()

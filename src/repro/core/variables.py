@@ -260,6 +260,10 @@ class VariableRegistry:
         self._atom_probs: List[Optional[float]] = []
         self._atom_base: int = 0
         self._atom_overflow: Dict[int, float] = {}
+        # Bumped on every atom-probability write, so caches derived from
+        # ``_atom_probs`` (the numpy kernels' dense window) can tell an
+        # in-place rewrite by :meth:`set_distribution` from a stale copy.
+        self._atom_probs_version: int = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -302,6 +306,7 @@ class VariableRegistry:
     def _store_atom_prob(self, atom_id: int, prob: float) -> None:
         """Write one atom's probability into the array window (or the
         overflow dict when it lands outside the growth limit)."""
+        self._atom_probs_version += 1
         probs = self._atom_probs
         if not probs and not self._atom_overflow:
             self._atom_base = atom_id
@@ -314,6 +319,7 @@ class VariableRegistry:
             probs[index] = prob
 
     def _clear_atom_prob(self, atom_id: int) -> None:
+        self._atom_probs_version += 1
         index = atom_id - self._atom_base
         if 0 <= index < len(self._atom_probs):
             self._atom_probs[index] = None

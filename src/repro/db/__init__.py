@@ -49,9 +49,8 @@ from .sql import (
     UpdateStatement,
     parse_conf_query,
     parse_statement,
-    run_conf_query,
 )
-from .topk import RankedAnswer, rank_answers, top_k_answers
+from .topk import RankedAnswer, rank_answers
 
 __all__ = [
     "BoundsSnapshot",
@@ -83,7 +82,6 @@ __all__ = [
     "SqlSyntaxError",
     "parse_conf_query",
     "parse_statement",
-    "run_conf_query",
     "MutationError",
     "MutationResult",
     "Transaction",
@@ -96,5 +94,4 @@ __all__ = [
     "explain",
     "rank_influence",
     "RankedAnswer",
-    "top_k_answers",
 ]

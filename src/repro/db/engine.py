@@ -18,7 +18,6 @@ from typing import (
     Dict,
     Hashable,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -32,7 +31,6 @@ from .database import Database
 __all__ = [
     "evaluate",
     "evaluate_to_dnf",
-    "evaluate_with_confidence",
     "answer_selector",
     "QueryAnswer",
 ]
@@ -213,49 +211,3 @@ def answer_selector(database: Database) -> VariableSelector:
     composite strategy of Section IV.
     """
     return make_variable_selector(database.variable_origins())
-
-
-def evaluate_with_confidence(
-    query: ConjunctiveQuery,
-    database: Database,
-    *,
-    engine=None,
-    epsilon: Optional[float] = None,
-    error_kind: Optional[str] = None,
-    max_steps: Optional[int] = None,
-    deadline_seconds: Optional[float] = None,
-    **engine_kwargs,
-):
-    """Deprecated shim: use ``ProbDB(database).query(query).confidences()``.
-
-    Delegates to the :class:`repro.db.session.ProbDB` session path and
-    returns the same ``(answer_values, EngineResult)`` pairs it always
-    did.  ``engine_kwargs`` are :class:`repro.engine.EngineConfig`
-    fields used to build the session's engine; they cannot be combined
-    with an explicit ``engine``.
-    """
-    import warnings
-
-    warnings.warn(
-        "evaluate_with_confidence() is deprecated; use "
-        "ProbDB(database).query(query).confidences(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine import ConfidenceEngine
-    from .session import ProbDB
-
-    if engine is None:
-        engine = ConfidenceEngine.for_database(database, **engine_kwargs)
-    elif engine_kwargs:
-        raise TypeError(
-            "engine_kwargs configure a new engine and are ignored when "
-            f"one is passed; got {sorted(engine_kwargs)}"
-        )
-    session = ProbDB(database, engine=engine)
-    return session.query(query).confidences(
-        epsilon,
-        error_kind=error_kind,
-        max_steps=max_steps,
-        deadline_seconds=deadline_seconds,
-    )

@@ -59,8 +59,7 @@ class QueryExplanation:
         The :class:`repro.engine.ConfidenceEngine` ladder rung this query
         is routed to (``sprout`` or ``dtree`` at query level; DNF-level
         rungs like ``read-once`` apply per answer) and why — the planner
-        decision ``evaluate_with_confidence`` / ``run_conf_query`` will
-        actually take.
+        decision ``ProbDB.query`` / ``ProbDB.sql`` will actually take.
     influence:
         ``(answer_values, InfluenceReport)`` per answer when influence
         ranking was requested (``QueryResult.explain``), ``None``

@@ -493,7 +493,6 @@ class QueryResult:
         self,
         scenarios: Sequence[Optional[ProbOverrides]],
         *,
-        vectorized: Optional[bool] = None,
         max_nodes: Optional[int] = None,
     ) -> SweepResult:
         """Every answer's confidence under every override scenario.
@@ -501,35 +500,26 @@ class QueryResult:
         Compiles the answers' circuits (through the session cache, so
         repeated sweeps — and earlier :meth:`compile` /
         :meth:`confidences` calls — share the work) and evaluates the
-        whole scenario batch per circuit in one vectorized pass when
-        numpy is available.  ``vectorized`` defaults to the session
-        config's :attr:`~repro.engine.EngineConfig.vectorized` policy;
-        the scalar fallback returns the identical grid.
+        whole scenario batch per circuit in one numpy pass when numpy
+        is importable; the scalar fallback returns the identical grid.
         """
-        if vectorized is None:
-            vectorized = self.engine.config.vectorized
-        return self.compile(max_nodes=max_nodes).sweep(
-            scenarios, vectorized=vectorized
-        )
+        return self.compile(max_nodes=max_nodes).sweep(scenarios)
 
     def what_if_grid(
         self,
         variable: Hashable,
         probabilities: Sequence[float],
         *,
-        vectorized: Optional[bool] = None,
         max_nodes: Optional[int] = None,
     ) -> SweepResult:
         """Sweep one Boolean tuple's probability across every answer.
 
         ``result.what_if_grid("t", [i / 10 for i in range(11)])`` is
         the one-dimensional sensitivity scan: each answer's confidence
-        as a function of ``P(t)``, one vectorized sweep per circuit.
+        as a function of ``P(t)``, one sweep per circuit.
         """
-        if vectorized is None:
-            vectorized = self.engine.config.vectorized
         return self.compile(max_nodes=max_nodes).what_if_grid(
-            variable, probabilities, vectorized=vectorized
+            variable, probabilities
         )
 
     def explain(

@@ -45,7 +45,6 @@ from .database import Database
 __all__ = [
     "parse_conf_query",
     "parse_statement",
-    "run_conf_query",
     "SqlSyntaxError",
     "ParsedQuery",
     "InsertStatement",
@@ -613,53 +612,3 @@ def parse_statement(text: str, database: Database) -> Statement:
     where = _parse_dml_where(stream)
     _finish_statement(stream)
     return UpdateStatement(table, values or None, probability, where)
-
-
-def run_conf_query(
-    text: str,
-    database: Database,
-    *,
-    epsilon: Optional[float] = None,
-    error_kind: Optional[str] = None,
-    engine=None,
-) -> List[Tuple[Tuple[Hashable, ...], Optional[float]]]:
-    """Deprecated shim: use ``ProbDB(database).sql(text).confidences()``.
-
-    Delegates to the :class:`repro.db.session.ProbDB` session path.
-    Returns ``(answer_tuple, confidence)`` pairs as before; the
-    confidence is ``None`` when the query does not request ``conf()``.
-    With neither ``engine`` nor overrides the computation is exact
-    (``ε = 0``, absolute).
-    """
-    import warnings
-
-    warnings.warn(
-        "run_conf_query() is deprecated; use "
-        "ProbDB(database).sql(text).confidences(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine import EngineConfig
-    from .session import ProbDB
-
-    if engine is not None:
-        session = ProbDB(database, engine=engine)
-    else:
-        session = ProbDB(
-            database,
-            EngineConfig(
-                epsilon=0.0 if epsilon is None else epsilon,
-                error_kind=(
-                    "absolute" if error_kind is None else error_kind
-                ),
-            ),
-        )
-    result = session.sql(text)
-    if not result.wants_conf:
-        return [(values, None) for values in result.answers()]
-    return [
-        (values, outcome.probability)
-        for values, outcome in result.confidences(
-            epsilon, error_kind=error_kind
-        )
-    ]

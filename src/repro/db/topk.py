@@ -12,23 +12,20 @@ exactly.
 :class:`repro.engine.BatchComputation` — the same batched anytime
 machinery behind ``ConfidenceEngine.compute_many`` and the session
 façade's ``QueryResult.bounds()``; the refinement loop itself lives
-there.  The preferred entry point is
+there.  The entry point for queries is
 ``ProbDB(database).query(cq).top_k(k)``
-(:class:`repro.db.session.ProbDB`); :func:`top_k_answers` remains as a
-deprecated free-function shim.
+(:class:`repro.db.session.ProbDB`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..core.dnf import DNF
-from ..core.orders import VariableSelector
-from ..core.variables import VariableRegistry, variable_name
+from ..core.variables import variable_name
 from ..engine import resumable_circuit
 
-__all__ = ["rank_answers", "top_k_answers", "RankedAnswer"]
+__all__ = ["rank_answers", "RankedAnswer"]
 
 #: Default global work ceiling when neither the call nor the engine's
 #: :class:`~repro.engine.EngineConfig` bounds the ranking.
@@ -284,45 +281,3 @@ def _rank_batch(batch, answers, k, max_total_steps, separation,
 
     order.sort(key=sort_key)
     return [ranked(index) for index in order[:k]]
-
-
-def top_k_answers(
-    answers: Sequence[Answer],
-    registry: VariableRegistry,
-    k: int,
-    *,
-    choose_variable: Optional[VariableSelector] = None,
-    initial_steps: int = 4,
-    step_growth: int = 2,
-    max_total_steps: int = 200_000,
-    separation: float = 0.0,
-    engine=None,
-) -> List[RankedAnswer]:
-    """Deprecated shim: use ``ProbDB(...).query(cq).top_k(k)`` instead.
-
-    Delegates to :func:`rank_answers` — the session path behind
-    ``QueryResult.top_k`` — preserving the historical signature and
-    results exactly.
-    """
-    warnings.warn(
-        "top_k_answers() is deprecated; use "
-        "ProbDB(database).query(query).top_k(k) or "
-        "repro.db.topk.rank_answers(engine, answers, k)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if engine is None:
-        from ..engine import ConfidenceEngine
-
-        engine = ConfidenceEngine(
-            registry, epsilon=0.0, choose_variable=choose_variable
-        )
-    return rank_answers(
-        engine,
-        answers,
-        k,
-        initial_steps=initial_steps,
-        step_growth=step_growth,
-        max_total_steps=max_total_steps,
-        separation=separation,
-    )

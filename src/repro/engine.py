@@ -174,15 +174,6 @@ class EngineConfig:
         nondeterministic; an integer makes every MC estimate a pure
         function of ``(rng_seed, lineage)`` — stable across runs, tuple
         order, and shard assignment.
-    vectorized:
-        Kernel backend policy for the numpy-vectorized paths (scenario
-        sweeps, circuit Monte-Carlo sampling, batched leaf bounds).
-        ``None`` (default) auto-selects: numpy when importable, the
-        pure-Python scalar sweeps otherwise — results are bit-identical
-        either way.  ``False`` forces scalar (the differential-testing
-        knob); ``True`` demands numpy and raises
-        :class:`~repro.circuits.KernelUnavailableError` at construction
-        when it is missing (install the ``repro[fast]`` extra).
     compile_circuits:
         Record the d-tree trace of every answer as an arithmetic
         circuit (:mod:`repro.circuits`) on ``EngineResult.circuit``:
@@ -220,13 +211,8 @@ class EngineConfig:
     executor_kind: str = "process"
     rng_seed: Optional[int] = None
     compile_circuits: bool = False
-    vectorized: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        # Resolving the backend validates the preference: forcing
-        # vectorized=True without numpy raises KernelUnavailableError
-        # here, at config construction, instead of deep in a sweep.
-        kernel_backend(self.vectorized)
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError(
                 f"epsilon must be in [0, 1), got {self.epsilon}"
@@ -280,10 +266,9 @@ class EngineConfig:
                 or getattr(selector, "__name__", None)
                 or repr(selector)
             )
-        # The *resolved* backend ("numpy"/"scalar"), so a recorded run
-        # pins down which kernel actually executed — the `vectorized`
-        # field only records the preference.
-        description["kernel_backend"] = kernel_backend(self.vectorized)
+        # The backend ("numpy" when importable, else "scalar"), so a
+        # recorded run pins down which kernel actually executed.
+        description["kernel_backend"] = kernel_backend()
         return description
 
 
@@ -1204,7 +1189,6 @@ class ConfidenceEngine:
             max_steps=max_steps,
             deadline_seconds=deadline_seconds,
             cache=self.cache,
-            vectorized=config.vectorized,
         )
         if outcome.converged or not self._mc_applicable(
             epsilon, error_kind, mc_enabled
@@ -1336,7 +1320,6 @@ class ConfidenceEngine:
             sort_buckets=config.sort_buckets,
             read_once_buckets=config.read_once_buckets,
             stats=stats,
-            vectorized=config.vectorized,
         )
 
     def bind_cache(self) -> DecompositionCache:
@@ -1604,7 +1587,7 @@ class ConfidenceEngine:
         source = self.circuit_source
         if source is None:
             return None
-        if kernel_backend(self.config.vectorized) != BACKEND_NUMPY:
+        if kernel_backend() != BACKEND_NUMPY:
             return None
         circuit = source(dnf)
         if circuit is None or not circuit.is_exact:

@@ -110,8 +110,6 @@ class ServingConfig:
     batch_window_seconds: float = 0.002
     max_batch: int = 256
     default_deadline_seconds: Optional[float] = None
-    #: Forwarded to the sweep entry points (None = auto backend).
-    vectorized: Optional[bool] = None
     #: Refinement rounds allowed when a ``bounds``/``sweep`` request
     #: asks for ``refine`` on a partial circuit (engine required).
     refine_rounds: int = 4
@@ -169,13 +167,11 @@ class _MicroBatcher:
         *,
         window: float,
         max_batch: int,
-        vectorized: Optional[bool],
     ) -> None:
         self.loop = loop
         self.stats = stats
         self.window = window
         self.max_batch = max_batch
-        self.vectorized = vectorized
         self.buckets: Dict[Tuple[int, str], _Bucket] = {}
         self.running = 0
         self.parked = 0
@@ -247,18 +243,10 @@ class _MicroBatcher:
             if bucket.kind == "bounds":
                 results: List[Any] = [
                     list(pair)
-                    for pair in sweep_bounds(
-                        bucket.circuit,
-                        bucket.overrides,
-                        vectorized=self.vectorized,
-                    )
+                    for pair in sweep_bounds(bucket.circuit, bucket.overrides)
                 ]
             else:
-                results = sweep_values(
-                    bucket.circuit,
-                    bucket.overrides,
-                    vectorized=self.vectorized,
-                )
+                results = sweep_values(bucket.circuit, bucket.overrides)
         except Exception as exc:  # pragma: no cover - defensive
             error = ServingError(
                 "internal", f"batched sweep failed: {exc}"
@@ -417,7 +405,6 @@ class ServingEngine:
                 self.stats,
                 window=self.config.batch_window_seconds,
                 max_batch=self.config.max_batch,
-                vectorized=self.config.vectorized,
             )
 
     def _tenant_sem(self, tenant: str) -> asyncio.Semaphore:
@@ -967,7 +954,6 @@ class ServingEngine:
                 compile_subcircuit=engine.compile_circuit,  # type: ignore[attr-defined]
                 target_width=target_width,
                 max_rounds=self.config.refine_rounds,
-                vectorized=self.config.vectorized,
             )
 
         refined, bounds = await self._with_engine(deadline, work)

@@ -6,18 +6,14 @@ Two guarantees of the interned-representation refactor are pinned here:
   :class:`~repro.engine.ConfidenceEngine` strategy produces probabilities
   that agree with brute-force world enumeration, on hundreds of random
   DNFs (Boolean and multi-valued);
-* each db path — ``evaluate_with_confidence``, ``top_k_answers``,
-  ``run_conf_query`` — routes its confidence computation through the
+* each session path — ``ProbDB.query``, ``ProbDB.lineage(...).top_k``,
+  ``ProbDB.sql`` — routes its confidence computation through the
   engine.
 """
 
 import random
 
 import pytest
-
-# The db-path routing tests exercise the deprecated free-function shims
-# on purpose; the session façade equivalents live in test_session.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 from repro.core.dnf import DNF
 from repro.core.events import Atom, Clause
@@ -26,10 +22,9 @@ from repro.core.semantics import brute_force_probability
 from repro.core.variables import VariableRegistry
 from repro.db.cq import ConjunctiveQuery, SubGoal, Var
 from repro.db.database import Database
-from repro.db.engine import evaluate_to_dnf, evaluate_with_confidence
+from repro.db.engine import evaluate_to_dnf
 from repro.db.relation import Relation
-from repro.db.sql import run_conf_query
-from repro.db.topk import top_k_answers
+from repro.db.session import ProbDB
 from repro.engine import STRATEGY_LADDER, ConfidenceEngine, EngineResult
 
 
@@ -256,11 +251,9 @@ def _query():
 
 
 class TestDbPathsRouteThroughEngine:
-    """evaluate / topk / sql all funnel into ConfidenceEngine."""
+    """query / top-k / sql sessions all funnel into ConfidenceEngine."""
 
-    def test_evaluate_with_confidence_routes_through_engine(
-        self, monkeypatch
-    ):
+    def test_query_confidences_route_through_engine(self, monkeypatch):
         calls = []
         original = ConfidenceEngine.compute_query
 
@@ -270,7 +263,7 @@ class TestDbPathsRouteThroughEngine:
 
         monkeypatch.setattr(ConfidenceEngine, "compute_query", spy)
         db = _small_database()
-        results = evaluate_with_confidence(_query(), db)
+        results = ProbDB(db).query(_query()).confidences()
         assert calls == ["routing"]
         assert results
         for _values, result in results:
@@ -288,7 +281,7 @@ class TestDbPathsRouteThroughEngine:
         monkeypatch.setattr(ConfidenceEngine, "compute", spy)
         db = _small_database()
         answers = evaluate_to_dnf(_query(), db)
-        ranked = top_k_answers(answers, db.registry, 2)
+        ranked = ProbDB(db).lineage(answers).top_k(2)
         assert len(calls) >= len(answers)
         assert len(ranked) == 2
         assert ranked[0].lower >= ranked[1].lower - 1e-12
@@ -303,9 +296,9 @@ class TestDbPathsRouteThroughEngine:
 
         monkeypatch.setattr(ConfidenceEngine, "compute_query", spy)
         db = _small_database()
-        rows = run_conf_query(
-            "select conf() from PR, PS where PR.x = PS.x", db
-        )
+        rows = ProbDB(db).sql(
+            "select conf() from PR, PS where PR.x = PS.x"
+        ).confidences()
         assert calls  # routed through the engine
         assert len(rows) == 1
         answers = evaluate_to_dnf(
@@ -318,7 +311,7 @@ class TestDbPathsRouteThroughEngine:
             db,
         )
         truth = brute_force_probability(answers[0][1], db.registry)
-        assert rows[0][1] == pytest.approx(truth, abs=1e-9)
+        assert rows[0][1].probability == pytest.approx(truth, abs=1e-9)
 
     def test_explain_reports_engine_strategy(self):
         from repro.db.explain import explain

@@ -303,6 +303,52 @@ class TestUpdate:
 # ----------------------------------------------------------------------
 # Confidence correctness through mutations (brute-force oracle)
 # ----------------------------------------------------------------------
+class TestProbabilityUpdateSoundness:
+    """Re-reads after ``update(probability=...)`` keep certified bounds.
+
+    A probability update rewrites registry slots in place; every cache
+    derived from them — including the numpy kernels' dense probability
+    window behind the Fig. 3 leaf bounds — must see the new values, or
+    the re-read's interval is computed from stale marginals.
+    """
+
+    SQL = "select conf() from E e1, E e2 where e1.v = e2.u"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reread_interval_contains_truth(self, seed):
+        rng = random.Random(seed)
+        edges = set()
+        while len(edges) < 16:
+            u, v = rng.randrange(8), rng.randrange(8)
+            if u != v:
+                edges.add((u, v))
+        edges = sorted(edges)
+        registry = VariableRegistry()
+        database = Database(registry)
+        database.add(
+            Relation.tuple_independent(
+                "E", ["u", "v"],
+                [(edge, rng.uniform(0.05, 0.3)) for edge in edges],
+                registry,
+            )
+        )
+        db = ProbDB(database, EngineConfig(epsilon=0.1))
+        db.sql(self.SQL).confidences()  # warm every cache
+        chosen = set(rng.sample(edges, 6))
+        db.update(
+            "E", probability=0.9,
+            where=lambda row: (row["u"], row["v"]) in chosen,
+        )
+        result = db.sql(self.SQL)
+        ((_values, outcome),) = result.confidences()
+        ((_values, lineage),) = result.lineage()
+        truth = brute_force_probability(lineage, registry)
+        assert outcome.lower - 1e-9 <= truth <= outcome.upper + 1e-9, (
+            f"seed={seed}: [{outcome.lower}, {outcome.upper}] "
+            f"excludes {truth}"
+        )
+
+
 class TestMutatedConfidences:
     def test_confidence_tracks_mutations_exactly(self):
         db = make_db(EngineConfig(compile_circuits=True), rows=4)

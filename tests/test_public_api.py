@@ -5,9 +5,7 @@ Pins three properties of the package boundary:
 * ``repro.__all__`` is complete and accurate — every public (non-module)
   symbol importable from ``repro`` appears in it and vice versa;
 * the package ships a PEP 561 ``py.typed`` marker;
-* the deprecated free functions (``evaluate_with_confidence``,
-  ``run_conf_query``, ``top_k_answers``) emit ``DeprecationWarning`` and
-  return results identical to the :class:`repro.ProbDB` session path.
+* the :class:`repro.ProbDB` session path raises no ``DeprecationWarning``.
 """
 
 import inspect
@@ -21,10 +19,7 @@ from repro import EngineConfig, ProbDB
 from repro.core.variables import VariableRegistry
 from repro.db.cq import ConjunctiveQuery, SubGoal, Var
 from repro.db.database import Database
-from repro.db.engine import evaluate_to_dnf, evaluate_with_confidence
 from repro.db.relation import Relation
-from repro.db.sql import run_conf_query
-from repro.db.topk import top_k_answers
 
 
 class TestAllCompleteness:
@@ -85,48 +80,12 @@ def _query():
         [x],
         [SubGoal("PR", [x]), SubGoal("PS", [x, y])],
         [],
-        name="shim-identity",
+        name="session-path",
     )
 
 
-class TestDeprecationShims:
-    """Shims warn, and agree with the session path exactly."""
-
-    def test_evaluate_with_confidence_warns_and_matches(self, small_db):
-        with pytest.warns(DeprecationWarning, match="ProbDB"):
-            old = evaluate_with_confidence(_query(), small_db)
-        new = ProbDB(small_db).query(_query()).confidences()
-        assert [(v, r.probability, r.strategy) for v, r in old] == [
-            (v, r.probability, r.strategy) for v, r in new
-        ]
-
-    def test_run_conf_query_warns_and_matches(self, small_db):
-        sql = "select PR.x, conf() from PR, PS where PR.x = PS.x"
-        with pytest.warns(DeprecationWarning, match="ProbDB"):
-            old = run_conf_query(sql, small_db)
-        new = [
-            (values, result.probability)
-            for values, result in ProbDB(small_db).sql(sql).confidences()
-        ]
-        assert old == new
-
-    def test_run_conf_query_without_conf_matches_answers(self, small_db):
-        sql = "select PR.x from PR, PS where PR.x = PS.x"
-        with pytest.warns(DeprecationWarning):
-            old = run_conf_query(sql, small_db)
-        assert old == [
-            (values, None)
-            for values in ProbDB(small_db).sql(sql).answers()
-        ]
-
-    def test_top_k_answers_warns_and_matches(self, small_db):
-        answers = evaluate_to_dnf(_query(), small_db)
-        with pytest.warns(DeprecationWarning, match="top_k"):
-            old = top_k_answers(answers, small_db.registry, 2)
-        new = ProbDB(small_db).lineage(answers).top_k(2)
-        assert [(r.values, r.lower, r.upper) for r in old] == [
-            (r.values, r.lower, r.upper) for r in new
-        ]
+class TestSessionPath:
+    """The one way to ask for SQL, CQ and top-k confidences."""
 
     def test_session_path_is_warning_free(self, small_db):
         with warnings.catch_warnings():

@@ -596,7 +596,7 @@ class TestKernelCache:
     def test_kernel_cached_by_identity(self):
         from repro.circuits.kernels import BACKEND_NUMPY, kernel_backend
 
-        if kernel_backend(None) != BACKEND_NUMPY:
+        if kernel_backend() != BACKEND_NUMPY:
             pytest.skip("numpy backend disabled")
         registry = make_registry()
         engine = ConfidenceEngine(registry)

@@ -9,8 +9,8 @@ Covers the PR-2 redesign:
   independent ``compute`` calls, budget exhaustion soundness, and
   decomposition-cache sharing across tuples (hit counter);
 * ``QueryResult.bounds`` — sound, narrowing anytime snapshots;
-* ``QueryResult.top_k`` — equals the historical ``top_k_answers``
-  ranking on the Fig. 9 social-network motifs.
+* ``QueryResult.top_k`` — equals :func:`~repro.db.topk.rank_answers`
+  on a bare exact engine, on the Fig. 9 social-network motifs.
 """
 
 import json
@@ -407,9 +407,9 @@ class TestBounds:
 
 
 class TestTopKViaSession:
-    def test_matches_legacy_ranking_on_fig9_motifs(self):
-        """Satellite check: QueryResult.top_k == old top_k_answers on the
-        Fig. 9 social-network motif lineages."""
+    def test_matches_engine_ranking_on_fig9_motifs(self):
+        """QueryResult.top_k == rank_answers on a bare exact engine, on
+        the Fig. 9 social-network motif lineages."""
         network = karate_club_network()
         answers = [
             (("triangle",), triangle_dnf(network)),
@@ -419,10 +419,11 @@ class TestTopKViaSession:
         session = ProbDB.from_registry(network.registry)
         new = session.lineage(answers).top_k(2)
 
-        from repro.db.topk import top_k_answers
+        from repro.db.topk import rank_answers
 
-        with pytest.warns(DeprecationWarning):
-            old = top_k_answers(answers, network.registry, 2)
+        old = rank_answers(
+            ConfidenceEngine(network.registry, epsilon=0.0), answers, 2
+        )
         assert [(r.values, r.lower, r.upper) for r in new] == [
             (r.values, r.lower, r.upper) for r in old
         ]

@@ -1,24 +1,29 @@
-"""Tests for the SQL conf() front-end.
-
-Exercises the deprecated ``run_conf_query`` free-function shim on
-purpose (the session path is covered by ``tests/test_session.py``), so
-DeprecationWarnings are expected here even under ``-W error``.
-"""
+"""Tests for the SQL conf() front-end, driven through the ProbDB session."""
 
 import pytest
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 from repro.core.semantics import brute_force_formula_probability
 from repro.core.variables import VariableRegistry
 from repro.db.database import Database
 from repro.db.engine import evaluate
 from repro.db.relation import Relation
-from repro.db.sql import (
-    SqlSyntaxError,
-    parse_conf_query,
-    run_conf_query,
-)
+from repro.db.session import ProbDB
+from repro.db.sql import SqlSyntaxError, parse_conf_query
+from repro.engine import EngineConfig
+
+
+def sql_rows(text, database, *, epsilon=0.0):
+    """``(answer, confidence)`` rows of a SQL query on a fresh session.
+
+    The confidence is ``None`` when the query does not select ``conf()``.
+    """
+    result = ProbDB(database, EngineConfig(epsilon=epsilon)).sql(text)
+    if not result.wants_conf:
+        return [(values, None) for values in result.answers()]
+    return [
+        (values, outcome.probability)
+        for values, outcome in result.confidences()
+    ]
 
 
 @pytest.fixture
@@ -66,7 +71,7 @@ class TestPaperTriangleQuery:
             where n1.v = n2.u and n2.v = n3.v and
                   n1.u = n3.u and n1.u < n2.u and n2.u < n3.v;
         """
-        results = run_conf_query(sql, social_db)
+        results = sql_rows(sql, social_db)
         assert len(results) == 1
         (answer, confidence), = results
         assert answer == ()
@@ -83,7 +88,7 @@ class TestPaperTriangleQuery:
 
 class TestSelectAndJoin:
     def test_equi_join_and_projection(self, rs_db):
-        results = run_conf_query(
+        results = sql_rows(
             "select R.a, conf() from R, S where R.b = S.b", rs_db
         )
         by_answer = dict(results)
@@ -94,31 +99,31 @@ class TestSelectAndJoin:
         )
 
     def test_unqualified_unambiguous_column(self, rs_db):
-        results = run_conf_query(
+        results = sql_rows(
             "select a, conf() from R, S where R.b = S.b and c = 5", rs_db
         )
         assert dict(results)[(1,)] == pytest.approx(0.5 * 0.4)
 
     def test_ambiguous_column_rejected(self, rs_db):
         with pytest.raises(SqlSyntaxError, match="ambiguous"):
-            run_conf_query("select b from R, S", rs_db)
+            sql_rows("select b from R, S", rs_db)
 
     def test_constant_selection(self, rs_db):
-        results = run_conf_query(
+        results = sql_rows(
             "select conf() from R where a = 2", rs_db
         )
         (_answer, confidence), = results
         assert confidence == pytest.approx(0.7)
 
     def test_inequality_with_literal(self, rs_db):
-        results = run_conf_query(
+        results = sql_rows(
             "select conf() from R where b >= 20", rs_db
         )
         (_answer, confidence), = results
         assert confidence == pytest.approx(0.6)
 
     def test_without_conf_returns_tuples(self, rs_db):
-        results = run_conf_query("select R.a from R", rs_db)
+        results = sql_rows("select R.a from R", rs_db)
         assert {answer for answer, conf in results} == {(1,), (2,)}
         assert all(conf is None for _a, conf in results)
 
@@ -130,7 +135,7 @@ class TestSelectAndJoin:
                 [((5, "alice"), 0.5), ((6, "bob"), 0.5)], reg,
             )
         )
-        results = run_conf_query(
+        results = sql_rows(
             "select conf() from N where label = 'alice'", social_db
         )
         (_answer, confidence), = results
@@ -141,7 +146,7 @@ class TestSelectAndJoin:
             "select R.a, conf() from R, S where R.b = S.b", rs_db
         )
         answers = {a.values: a for a in evaluate(parsed.query, rs_db)}
-        for values, confidence in run_conf_query(
+        for values, confidence in sql_rows(
             "select R.a, conf() from R, S where R.b = S.b", rs_db
         ):
             expected = brute_force_formula_probability(
@@ -183,12 +188,12 @@ class TestSyntaxErrors:
 class TestEpsilonForwarding:
     def test_approximate_confidence(self, rs_db):
         exact = dict(
-            run_conf_query(
+            sql_rows(
                 "select R.a, conf() from R, S where R.b = S.b", rs_db
             )
         )
         approx = dict(
-            run_conf_query(
+            sql_rows(
                 "select R.a, conf() from R, S where R.b = S.b",
                 rs_db,
                 epsilon=0.05,

@@ -1,21 +1,22 @@
-"""Tests for bounds-based top-k answer ranking.
-
-Exercises the deprecated ``top_k_answers`` free-function shim on purpose
-(the session path is covered by ``tests/test_session.py``), so
-DeprecationWarnings are expected here even under ``-W error``.
-"""
+"""Tests for bounds-based top-k answer ranking (:func:`rank_answers`)."""
 
 import random
 
 import pytest
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.semantics import brute_force_probability
 from repro.core.variables import VariableRegistry
-from repro.db.topk import RankedAnswer, top_k_answers
+from repro.db.topk import RankedAnswer, rank_answers
+from repro.engine import ConfidenceEngine
+
+
+def rank(answers, reg, k, **kwargs):
+    """Rank on a fresh exact engine over ``reg``."""
+    return rank_answers(
+        ConfidenceEngine(reg, epsilon=0.0), answers, k, **kwargs
+    )
 
 
 def make_answers(seed, answer_count=6, variables=10):
@@ -48,7 +49,7 @@ class TestRanking:
                 for values, dnf in answers
             }
             expected = sorted(truth, key=truth.get, reverse=True)[:k]
-            ranked = top_k_answers(answers, reg, k)
+            ranked = rank(answers, reg, k)
             assert len(ranked) == k
             got = [r.values for r in ranked]
             # Ties (equal probabilities) permit any order among the tied;
@@ -59,7 +60,7 @@ class TestRanking:
 
     def test_intervals_are_sound(self):
         answers, reg = make_answers(3)
-        ranked = top_k_answers(answers, reg, 3)
+        ranked = rank(answers, reg, 3)
         truth = {
             values: brute_force_probability(dnf, reg)
             for values, dnf in answers
@@ -70,7 +71,7 @@ class TestRanking:
 
     def test_k_larger_than_input(self):
         answers, reg = make_answers(5, answer_count=3)
-        ranked = top_k_answers(answers, reg, 10)
+        ranked = rank(answers, reg, 10)
         assert len(ranked) == 3
         # Descending by upper bound.
         uppers = [r.upper for r in ranked]
@@ -79,11 +80,11 @@ class TestRanking:
     def test_invalid_k(self):
         answers, reg = make_answers(1)
         with pytest.raises(ValueError):
-            top_k_answers(answers, reg, 0)
+            rank(answers, reg, 0)
 
     def test_budget_cap_returns_best_effort(self):
         answers, reg = make_answers(7, answer_count=8, variables=14)
-        ranked = top_k_answers(
+        ranked = rank(
             answers, reg, 2, initial_steps=1, max_total_steps=4
         )
         assert len(ranked) == 2
@@ -99,7 +100,7 @@ class TestRanking:
             (("hi",), DNF.from_sets([{"big": True}])),
             (("lo",), DNF.from_sets([{"small": True}])),
         ]
-        ranked = top_k_answers(answers, reg, 1)
+        ranked = rank(answers, reg, 1)
         assert ranked[0].values == ("hi",)
         assert ranked[0].lower > 0.9
 
@@ -128,5 +129,5 @@ class TestRanking:
             (("sure",), DNF.from_sets([{"sure": True}])),
             (("hard",), DNF(hard_clauses)),
         ]
-        ranked = top_k_answers(answers, reg, 1, initial_steps=2)
+        ranked = rank(answers, reg, 1, initial_steps=2)
         assert ranked[0].values == ("sure",)
