@@ -924,8 +924,9 @@ class ProbDB:
         the cache's mutation counter moves, so circuits compiled after
         this call are visible to the server) and degrades to this
         session's engine for cold lineages.  Wrap it in
-        :class:`repro.serving.ServingApp` for the ASGI front-end or
-        :class:`repro.serving.ServingClient` for in-process calls.
+        :class:`repro.serving.ServingApp` for the ASGI front-end, or in
+        :class:`repro.serving.ServingClient` to call it in-process over
+        the same JSON wire path, without a socket.
         """
         from ..serving import CircuitStoreService, ServingEngine
 

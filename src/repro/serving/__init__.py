@@ -15,8 +15,14 @@ degrading gracefully (cold lineage → attached engine; overload →
 shed with a structured ``overloaded`` error).
 
 Front-ends: :class:`ServingApp` (stdlib ASGI 3, JSON wire codec in
-:mod:`repro.serving.codec`), :func:`serve` (uvicorn, optional extra),
-and the in-process :class:`ServingClient` / :class:`ASGIClient`.
+:mod:`repro.serving.codec`; :meth:`ServingApp.exchange` is the one
+in-process request/response driver) and :func:`serve` (uvicorn,
+optional extra).  Three clients share one vocabulary — the six ops,
+``stats`` / ``healthz`` / ``stores`` and the four store-catalog calls —
+and differ only in transport: :class:`ASGIClient` drives an app
+without a socket, :class:`ServingClient` is that path built from a
+bare engine, and :class:`FleetClient` speaks HTTP to a fleet.  Every
+error reaches a client as a :class:`ServingError`.
 :class:`ServingStats` reports latency percentiles, batch occupancy,
 idle flushes, store and response-cache hit/miss traffic, shed counts, and quota
 rejections.
@@ -25,7 +31,8 @@ Fleet scale-out: :class:`ServingFleet` runs one serving worker process
 per shard over the same persisted store files (shared-nothing; intern
 snapshots shipped at fork like ``engine_parallel``), each behind its
 own HTTP socket, with :class:`FleetClient` routing by lineage affinity
-so repeated point queries land on a warm :class:`ResponseCache`.
+so repeated point queries land on a warm :class:`ResponseCache` and
+replicating status and catalog calls to every worker.
 Per-tenant :class:`~repro.serving.quota.TokenBucket` quotas shed
 over-rate tenants with 429 + ``Retry-After``.
 

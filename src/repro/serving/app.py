@@ -2,8 +2,10 @@
 
 :class:`ServingApp` is a dependency-free ASGI 3 application (plain
 ``async def __call__(scope, receive, send)``), so it runs under any
-ASGI server — and, for tests and benchmarks, directly in-process via
-:class:`~repro.serving.client.ASGIClient` with no server at all.
+ASGI server.  :meth:`ServingApp.exchange` drives one request/response
+cycle in-process with no server at all; the in-process clients
+(:class:`~repro.serving.client.ASGIClient`) and the fleet's stdlib
+HTTP bridge both go through it.
 
 Routes::
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .engine import ServingConfig, ServingEngine
 from .errors import ServingError
@@ -88,6 +90,44 @@ class ServingApp:
             )
             status, payload = error.status, error.to_json()
         await self._send_json(send, status, payload, headers)
+
+    async def exchange(
+        self, method: str, path: str, body: bytes = b""
+    ) -> Tuple[int, List[Tuple[bytes, bytes]], bytes]:
+        """One request/response cycle through the ASGI protocol: feeds
+        ``body`` as a single ``http.request`` message and returns the
+        response's ``(status, headers, body)``."""
+        scope = {
+            "type": "http",
+            "asgi": {"version": "3.0"},
+            "http_version": "1.1",
+            "method": method,
+            "scheme": "http",
+            "path": path,
+            "raw_path": path.encode("latin-1"),
+            "query_string": b"",
+            "headers": [(b"content-type", b"application/json")],
+        }
+        pending: List[Dict[str, Any]] = [
+            {"type": "http.request", "body": body, "more_body": False}
+        ]
+        status = 500
+        headers: List[Tuple[bytes, bytes]] = []
+        chunks: List[bytes] = []
+
+        async def receive() -> Dict[str, Any]:
+            return pending.pop() if pending else {"type": "http.disconnect"}
+
+        async def send(message: Dict[str, Any]) -> None:
+            nonlocal status, headers
+            if message["type"] == "http.response.start":
+                status = message["status"]
+                headers = list(message.get("headers", []))
+            elif message["type"] == "http.response.body":
+                chunks.append(message.get("body", b""))
+
+        await self(scope, receive, send)
+        return status, headers, b"".join(chunks)
 
     async def _lifespan(
         self,

@@ -1,25 +1,31 @@
-"""In-process async clients for the serving tier.
+"""The serving tier's clients: one vocabulary over three transports.
 
-Two clients, one vocabulary:
+:class:`_ClientBase` owns every call a client can make — the six ops
+(``evaluate`` / ``bounds`` / ``gradients`` / ``what_if`` / ``sweep`` /
+``top_k``), the generic ``request`` escape hatch (an op payload becomes
+``POST /v1/<op>``), the status calls (``stats`` / ``healthz`` /
+``stores``) and the store catalog (``add_store`` / ``drop_store`` /
+``reload_store`` / ``serve_directory``) — over one abstract ``http``
+transport.  A transport only decides where a request goes:
 
-* :class:`ServingClient` wraps a :class:`ServingEngine` directly —
-  zero serialization, native Python values in and out.  This is the
-  path ``ProbDB.serving()`` hands back for same-process callers.
 * :class:`ASGIClient` drives a :class:`ServingApp` through the real
-  ASGI protocol (scope/receive/send, JSON bodies) without a socket —
-  what an HTTP client would see, minus the network.  Tests and the
-  latency benchmark use it to exercise the full wire path.
+  ASGI protocol (:meth:`ServingApp.exchange`) without a socket — what
+  an HTTP client would see, minus the network.
+* :class:`ServingClient` is the same path built from a bare
+  :class:`ServingEngine` (``ServingClient(engine)`` is
+  ``ASGIClient(ServingApp(engine))``); ``ProbDB.serving()`` engines
+  are usually wrapped this way.
+* :class:`~repro.serving.fleet.FleetClient` speaks HTTP/1.1 to a
+  fleet of worker sockets.
 
-Both expose the same ``evaluate`` / ``bounds`` / ``gradients`` /
-``what_if`` / ``sweep`` / ``top_k`` coroutines plus a generic
-``request`` escape hatch, so a test can assert bit-identity between
-the direct and the wire path with the same call sites.
+Every non-2xx response raises :class:`ServingError`, rebuilt from the
+structured error body by :meth:`ServingError.from_json`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, Optional, Sequence
 
 from .app import ServingApp
 from .codec import dnf_to_json, overrides_to_json, value_to_json
@@ -36,31 +42,90 @@ def _encode_lineage(lineage: Any) -> Any:
     return lineage
 
 
-class _ClientBase:
-    """Shared request builders over an abstract ``request`` coroutine."""
+def _decode(status: int, raw: bytes) -> Dict[str, Any]:
+    """A response body as JSON; non-2xx statuses raise its error."""
+    payload = json.loads(raw or b"{}")
+    if status >= 300:
+        raise ServingError.from_json(status, payload)
+    return payload
 
-    async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+
+class _ClientBase:
+    """The client vocabulary over an abstract :meth:`http` transport."""
+
+    async def http(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """One request/response cycle; returns the decoded JSON body."""
         raise NotImplementedError
 
-    def _common(
+    async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Send an op payload (``{"op": ..., ...}``) to ``/v1/<op>``."""
+        body = dict(payload)
+        op = body.pop("op")
+        return await self.http("POST", f"/v1/{op}", body)
+
+    async def admin(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Any:
+        """The hook every status and store-catalog call goes through."""
+        return await self.http(method, path, body)
+
+    async def stats(self) -> Any:
+        return await self.admin("GET", "/v1/stats")
+
+    async def healthz(self) -> Any:
+        return await self.admin("GET", "/healthz")
+
+    async def stores(self) -> Any:
+        return await self.admin("GET", "/v1/stores")
+
+    # -- store catalog ---------------------------------------------------
+    async def add_store(
+        self, name: str, path: str, *, lazy: bool = False
+    ) -> Any:
+        body: Dict[str, Any] = {"name": name, "path": path}
+        if lazy:
+            body["lazy"] = True
+        return await self.admin("POST", "/v1/stores/add", body)
+
+    async def drop_store(self, name: str) -> Any:
+        return await self.admin("POST", "/v1/stores/drop", {"name": name})
+
+    async def reload_store(self, name: str) -> Any:
+        return await self.admin("POST", "/v1/stores/reload", {"name": name})
+
+    async def serve_directory(
+        self, path: str, *, suffix: str = ".rcir"
+    ) -> Any:
+        return await self.admin(
+            "POST",
+            "/v1/stores/serve_directory",
+            {"path": path, "suffix": suffix},
+        )
+
+    # -- ops -------------------------------------------------------------
+    async def _send(
         self,
         op: str,
-        *,
-        store: Optional[str],
-        tenant: Optional[str],
-        deadline_seconds: Optional[float],
-        expect_version: Optional[str],
+        overrides: Optional[Dict[Hashable, Any]] = None,
+        **fields: Any,
     ) -> Dict[str, Any]:
+        """Build an ``op`` payload (``None`` fields are left out) and
+        send it through :meth:`request`."""
         payload: Dict[str, Any] = {"op": op}
-        if store is not None:
-            payload["store"] = store
-        if tenant is not None:
-            payload["tenant"] = tenant
-        if deadline_seconds is not None:
-            payload["deadline_seconds"] = deadline_seconds
-        if expect_version is not None:
-            payload["expect_version"] = expect_version
-        return payload
+        payload.update(
+            (key, value) for key, value in fields.items() if value is not None
+        )
+        if overrides is not None:
+            payload["overrides"] = overrides_to_json(overrides)
+        return await self.request(payload)
 
     async def evaluate(
         self,
@@ -73,19 +138,11 @@ class _ClientBase:
         expect_version: Optional[str] = None,
         epsilon: Optional[float] = None,
     ) -> Dict[str, Any]:
-        payload = self._common(
-            "evaluate",
-            store=store,
-            tenant=tenant,
-            deadline_seconds=deadline_seconds,
-            expect_version=expect_version,
+        return await self._send(
+            "evaluate", overrides, lineage=_encode_lineage(lineage),
+            epsilon=epsilon, store=store, tenant=tenant,
+            deadline_seconds=deadline_seconds, expect_version=expect_version,
         )
-        payload["lineage"] = _encode_lineage(lineage)
-        if overrides is not None:
-            payload["overrides"] = overrides_to_json(overrides)
-        if epsilon is not None:
-            payload["epsilon"] = epsilon
-        return await self.request(payload)
 
     async def bounds(
         self,
@@ -99,21 +156,12 @@ class _ClientBase:
         deadline_seconds: Optional[float] = None,
         expect_version: Optional[str] = None,
     ) -> Dict[str, Any]:
-        payload = self._common(
-            "bounds",
-            store=store,
-            tenant=tenant,
-            deadline_seconds=deadline_seconds,
-            expect_version=expect_version,
+        return await self._send(
+            "bounds", overrides, lineage=_encode_lineage(lineage),
+            refine=refine or None, target_width=target_width,
+            store=store, tenant=tenant,
+            deadline_seconds=deadline_seconds, expect_version=expect_version,
         )
-        payload["lineage"] = _encode_lineage(lineage)
-        if overrides is not None:
-            payload["overrides"] = overrides_to_json(overrides)
-        if refine:
-            payload["refine"] = True
-        if target_width is not None:
-            payload["target_width"] = target_width
-        return await self.request(payload)
 
     async def gradients(
         self,
@@ -125,17 +173,11 @@ class _ClientBase:
         deadline_seconds: Optional[float] = None,
         expect_version: Optional[str] = None,
     ) -> Dict[str, Any]:
-        payload = self._common(
-            "gradients",
-            store=store,
-            tenant=tenant,
-            deadline_seconds=deadline_seconds,
-            expect_version=expect_version,
+        return await self._send(
+            "gradients", overrides, lineage=_encode_lineage(lineage),
+            store=store, tenant=tenant,
+            deadline_seconds=deadline_seconds, expect_version=expect_version,
         )
-        payload["lineage"] = _encode_lineage(lineage)
-        if overrides is not None:
-            payload["overrides"] = overrides_to_json(overrides)
-        return await self.request(payload)
 
     async def what_if(
         self,
@@ -148,17 +190,13 @@ class _ClientBase:
         deadline_seconds: Optional[float] = None,
         expect_version: Optional[str] = None,
     ) -> Dict[str, Any]:
-        payload = self._common(
-            "what_if",
-            store=store,
-            tenant=tenant,
-            deadline_seconds=deadline_seconds,
-            expect_version=expect_version,
+        return await self._send(
+            "what_if", lineage=_encode_lineage(lineage),
+            variable=value_to_json(variable),
+            probabilities=[float(p) for p in probabilities],
+            store=store, tenant=tenant,
+            deadline_seconds=deadline_seconds, expect_version=expect_version,
         )
-        payload["lineage"] = _encode_lineage(lineage)
-        payload["variable"] = value_to_json(variable)
-        payload["probabilities"] = [float(p) for p in probabilities]
-        return await self.request(payload)
 
     async def sweep(
         self,
@@ -173,23 +211,13 @@ class _ClientBase:
         deadline_seconds: Optional[float] = None,
         expect_version: Optional[str] = None,
     ) -> Dict[str, Any]:
-        payload = self._common(
-            "sweep",
-            store=store,
-            tenant=tenant,
-            deadline_seconds=deadline_seconds,
-            expect_version=expect_version,
+        return await self._send(
+            "sweep", lineage=_encode_lineage(lineage),
+            scenarios=[overrides_to_json(s) for s in scenarios], kind=kind,
+            refine=refine or None, target_width=target_width,
+            store=store, tenant=tenant,
+            deadline_seconds=deadline_seconds, expect_version=expect_version,
         )
-        payload["lineage"] = _encode_lineage(lineage)
-        payload["scenarios"] = [
-            overrides_to_json(overrides) for overrides in scenarios
-        ]
-        payload["kind"] = kind
-        if refine:
-            payload["refine"] = True
-        if target_width is not None:
-            payload["target_width"] = target_width
-        return await self.request(payload)
 
     async def top_k(
         self,
@@ -203,77 +231,21 @@ class _ClientBase:
         deadline_seconds: Optional[float] = None,
         expect_version: Optional[str] = None,
     ) -> Dict[str, Any]:
-        payload = self._common(
-            "top_k",
-            store=store,
-            tenant=tenant,
-            deadline_seconds=deadline_seconds,
-            expect_version=expect_version,
+        return await self._send(
+            "top_k", overrides,
+            lineages=[_encode_lineage(lineage) for lineage in lineages],
+            k=k,
+            answers=(
+                None if answers is None
+                else [value_to_json(answer) for answer in answers]
+            ),
+            store=store, tenant=tenant,
+            deadline_seconds=deadline_seconds, expect_version=expect_version,
         )
-        payload["lineages"] = [
-            _encode_lineage(lineage) for lineage in lineages
-        ]
-        payload["k"] = k
-        if answers is not None:
-            payload["answers"] = [
-                value_to_json(answer) for answer in answers
-            ]
-        if overrides is not None:
-            payload["overrides"] = overrides_to_json(overrides)
-        return await self.request(payload)
-
-
-class ServingClient(_ClientBase):
-    """Direct in-process client: payload dicts straight to ``handle``."""
-
-    def __init__(self, engine: ServingEngine) -> None:
-        self.engine = engine
-
-    async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return await self.engine.handle(payload)
-
-    async def stats(self) -> Dict[str, Any]:
-        return self.engine.stats.summary()  # type: ignore[return-value]
-
-    # -- store catalog ---------------------------------------------------
-    async def add_store(
-        self, name: str, path: str, *, lazy: bool = False
-    ) -> Dict[str, Any]:
-        snapshot = self.engine.stores.add_store(name, path, lazy=lazy)
-        return {
-            "name": name,
-            "loaded": snapshot is not None,
-            "stores": list(self.engine.stores.names()),
-        }
-
-    async def drop_store(self, name: str) -> Dict[str, Any]:
-        self.engine.stores.drop_store(name)
-        self.engine.responses.purge_store(name)
-        return {
-            "dropped": name,
-            "stores": list(self.engine.stores.names()),
-        }
-
-    async def reload_store(self, name: str) -> Dict[str, Any]:
-        return dict(self.engine.stores.reload(name).describe())
-
-    async def serve_directory(
-        self, path: str, *, suffix: str = ".rcir"
-    ) -> Dict[str, Any]:
-        added = self.engine.stores.serve_directory(path, suffix=suffix)
-        return {
-            "added": list(added),
-            "stores": list(self.engine.stores.names()),
-        }
 
 
 class ASGIClient(_ClientBase):
-    """Drives a :class:`ServingApp` through the ASGI protocol in-process.
-
-    Raises :class:`ServingError` on non-2xx responses, rebuilt from the
-    structured error body — so callers see the same exception type on
-    both the direct and the wire path.
-    """
+    """Drives a :class:`ServingApp` through the ASGI protocol in-process."""
 
     def __init__(self, app: ServingApp) -> None:
         self.app = app
@@ -284,88 +256,16 @@ class ASGIClient(_ClientBase):
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """One request/response cycle; returns the decoded JSON body."""
         raw = json.dumps(body).encode("utf-8") if body is not None else b""
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method,
-            "scheme": "http",
-            "path": path,
-            "raw_path": path.encode("ascii"),
-            "query_string": b"",
-            "headers": [(b"content-type", b"application/json")],
-        }
-        received = False
-
-        async def receive() -> Dict[str, Any]:
-            nonlocal received
-            if received:  # pragma: no cover - disconnect sentinel
-                return {"type": "http.disconnect"}
-            received = True
-            return {"type": "http.request", "body": raw, "more_body": False}
-
-        messages: List[Dict[str, Any]] = []
-
-        async def send(message: Dict[str, Any]) -> None:
-            messages.append(message)
-
-        await self.app(scope, receive, send)
-        status = 500
-        chunks = []
-        for message in messages:
-            if message["type"] == "http.response.start":
-                status = message["status"]
-            elif message["type"] == "http.response.body":
-                chunks.append(message.get("body", b""))
-        payload = json.loads(b"".join(chunks) or b"{}")
-        if status >= 300:
-            error = payload.get("error", {})
-            raise ServingError(
-                error.get("code", "internal"),
-                error.get("message", f"HTTP {status}"),
-                status=status,
-                details=error.get("details"),
-            )
-        return payload
-
-    async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        op = payload["op"]
-        body = {
-            key: value for key, value in payload.items() if key != "op"
-        }
-        return await self.http("POST", f"/v1/{op}", body)
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self.http("GET", "/v1/stats")
-
-    async def healthz(self) -> Dict[str, Any]:
-        return await self.http("GET", "/healthz")
-
-    async def stores(self) -> Dict[str, Any]:
-        return await self.http("GET", "/v1/stores")
-
-    # -- store catalog ---------------------------------------------------
-    async def add_store(
-        self, name: str, path: str, *, lazy: bool = False
-    ) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"name": name, "path": path}
-        if lazy:
-            body["lazy"] = True
-        return await self.http("POST", "/v1/stores/add", body)
-
-    async def drop_store(self, name: str) -> Dict[str, Any]:
-        return await self.http("POST", "/v1/stores/drop", {"name": name})
-
-    async def reload_store(self, name: str) -> Dict[str, Any]:
-        return await self.http("POST", "/v1/stores/reload", {"name": name})
-
-    async def serve_directory(
-        self, path: str, *, suffix: str = ".rcir"
-    ) -> Dict[str, Any]:
-        return await self.http(
-            "POST",
-            "/v1/stores/serve_directory",
-            {"path": path, "suffix": suffix},
+        status, _headers, response = await self.app.exchange(
+            method, path, raw
         )
+        return _decode(status, response)
+
+
+class ServingClient(ASGIClient):
+    """:class:`ASGIClient` over ``ServingApp(engine)``: the wire path
+    for a bare :class:`ServingEngine`, without a socket."""
+
+    def __init__(self, engine: ServingEngine) -> None:
+        super().__init__(ServingApp(engine))

@@ -42,6 +42,7 @@ through :mod:`repro.core.clock`, so tests can fake time) fail with
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -88,6 +89,25 @@ def _interval_width(circuit: Circuit) -> float:
     the same lineage."""
     low, high = circuit.evaluate_bounds()
     return high - low
+
+
+def _bounded(
+    request: Mapping[str, Any], field: str, upper: float
+) -> Optional[float]:
+    """``request[field]`` as a number in ``[0, upper)``; None if absent."""
+    value = request.get(field)
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0.0 <= value < upper
+    ):
+        raise ServingError(
+            "bad-request",
+            f"{field} must be a number in [0, {upper:g}), got {value!r}",
+        )
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -482,9 +502,18 @@ class ServingEngine:
         return snapshot
 
     def _lineage(self, data: Any) -> DNF:
-        if isinstance(data, DNF):
-            return data  # in-process client shortcut
-        return dnf_from_json(data)
+        """Decode a lineage and check every atom against the registry."""
+        dnf = data if isinstance(data, DNF) else dnf_from_json(data)
+        atom_probability = self.stores.registry.atom_probability
+        try:
+            for clause in dnf:
+                for atom_id in clause.atom_ids:
+                    atom_probability(atom_id)
+        except KeyError as exc:
+            raise ServingError(
+                "bad-request", f"invalid lineage: {exc.args[0]}"
+            ) from None
+        return dnf
 
     async def _with_engine(
         self, deadline: Optional[float], work: Callable[[], Any]
@@ -640,6 +669,7 @@ class ServingEngine:
         snapshot = self._snapshot(request)
         dnf = self._lineage(request.get("lineage"))
         overrides = overrides_from_json(request.get("overrides"))
+        epsilon = _bounded(request, "epsilon", 1.0)
         key = self._response_key(
             snapshot, "evaluate", dnf, canonical_overrides(overrides)
         )
@@ -656,7 +686,7 @@ class ServingEngine:
             require_exact=True,
         )
         if circuit is None:
-            result = await self._engine_compute(dnf, request, deadline)
+            result = await self._engine_compute(dnf, epsilon, deadline)
             response = self._base(snapshot, "engine")
             response.update(
                 value=result.probability,
@@ -677,6 +707,8 @@ class ServingEngine:
         snapshot = self._snapshot(request)
         dnf = self._lineage(request.get("lineage"))
         overrides = overrides_from_json(request.get("overrides"))
+        epsilon = _bounded(request, "epsilon", 1.0)
+        target_width = _bounded(request, "target_width", math.inf)
         refine = bool(request.get("refine", False))
         # Refinement mutates the overlay circuit between requests, so
         # only non-refining bounds are cacheable.
@@ -697,7 +729,7 @@ class ServingEngine:
             compile_cold=overrides is not None or refine,
         )
         if circuit is None:
-            result = await self._engine_compute(dnf, request, deadline)
+            result = await self._engine_compute(dnf, epsilon, deadline)
             response = self._base(snapshot, "engine")
             response.update(
                 bounds=[result.lower, result.upper],
@@ -707,7 +739,7 @@ class ServingEngine:
             return response
         if refine and circuit.residuals and self.engine is not None:
             circuit, pair = await self._refine(
-                snapshot, dnf, circuit, [overrides], request, deadline
+                snapshot, dnf, circuit, [overrides], target_width, deadline
             )
             bounds = list(pair[0])
             strategy = strategy + "+refined"
@@ -804,6 +836,7 @@ class ServingEngine:
                 f"sweep kind must be 'values' or 'bounds', got {kind!r}",
             )
         refine = bool(request.get("refine", False)) and kind == "bounds"
+        target_width = _bounded(request, "target_width", math.inf)
         # Refinement mutates the overlay circuit, so only plain sweeps
         # are cacheable.
         key = (
@@ -827,7 +860,7 @@ class ServingEngine:
         response = self._base(snapshot, strategy)
         if refine and circuit.residuals and self.engine is not None:
             circuit, bounds = await self._refine(
-                snapshot, dnf, circuit, scenarios, request, deadline
+                snapshot, dnf, circuit, scenarios, target_width, deadline
             )
             response["strategy"] = strategy + "+refined"
             response["results"] = [list(pair) for pair in bounds]
@@ -904,13 +937,12 @@ class ServingEngine:
     async def _engine_compute(
         self,
         dnf: DNF,
-        request: Mapping[str, Any],
+        epsilon: Optional[float],
         deadline: Optional[float],
     ) -> Any:
         """Cold-path direct computation (confidence + bounds)."""
         engine = self.engine
         assert engine is not None
-        epsilon = request.get("epsilon")
 
         def work() -> Any:
             return engine.compute(  # type: ignore[attr-defined]
@@ -931,7 +963,7 @@ class ServingEngine:
         dnf: DNF,
         circuit: Circuit,
         scenarios: List[Optional[Dict[Any, Any]]],
-        request: Mapping[str, Any],
+        target_width: Optional[float],
         deadline: Optional[float],
     ) -> Tuple[Circuit, List[Tuple[float, float]]]:
         """Batched residual refinement across all request scenarios.
@@ -945,14 +977,13 @@ class ServingEngine:
         """
         engine = self.engine
         assert engine is not None
-        target_width = float(request.get("target_width", 0.0))
 
         def work() -> Tuple[Circuit, List[Tuple[float, float]]]:
             return refine_sweep_bounds(
                 circuit,
                 scenarios,
                 compile_subcircuit=engine.compile_circuit,  # type: ignore[attr-defined]
-                target_width=target_width,
+                target_width=target_width or 0.0,
                 max_rounds=self.config.refine_rounds,
             )
 

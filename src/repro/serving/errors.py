@@ -9,7 +9,7 @@ bug and surfaces as ``internal`` / 500.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["ServingError"]
 
@@ -63,6 +63,20 @@ class ServingError(Exception):
         if self.details:
             payload["details"] = self.details
         return {"error": payload}
+
+    @classmethod
+    def from_json(cls, status: int, payload: Any) -> "ServingError":
+        """Inverse of :meth:`to_json`: the error an HTTP ``status`` and
+        its decoded response body carry."""
+        error = payload.get("error") if isinstance(payload, dict) else None
+        if not isinstance(error, dict):
+            error = {}
+        return cls(
+            error.get("code", "internal"),
+            error.get("message", f"HTTP {status}"),
+            status=status,
+            details=error.get("details"),
+        )
 
     def __repr__(self) -> str:
         return (

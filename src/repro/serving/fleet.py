@@ -56,8 +56,8 @@ from ..core.variables import (
     intern_snapshot,
 )
 from ..engine import EngineConfig
-from .app import ServingApp
-from .client import _ClientBase
+from .app import _MAX_BODY_BYTES, ServingApp
+from .client import _ClientBase, _decode
 from .engine import ServingConfig, ServingEngine
 from .errors import ServingError
 from .store import CircuitStoreService
@@ -215,12 +215,41 @@ async def _worker_serve(
         loop.remove_reader(conn.fileno())
 
 
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, Dict[str, str], int]]:
+    """One HTTP/1.1 start line, header block and content length.
+
+    Returns ``None`` at end of stream.  Header names are lower-cased; a
+    content length that is not a plain decimal number is a
+    ``bad-request`` :class:`ServingError`.
+    """
+    start_line = await reader.readline()
+    if not start_line.strip():
+        return None
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0") or "0"
+    if not (length.isascii() and length.isdigit()):
+        raise ServingError(
+            "bad-request", f"malformed content-length {length!r}"
+        )
+    return start_line.decode("latin-1").strip(), headers, int(length)
+
+
 class _StdlibBridge:
-    """Minimal HTTP/1.1 → ASGI bridge for one :class:`ServingApp`.
+    """Minimal HTTP/1.1 bridge onto :meth:`ServingApp.exchange`.
 
     Supports exactly what the serving wire protocol needs: JSON bodies
     framed by ``Content-Length``, keep-alive connections, one request
-    in flight per connection.  Chunked uploads are rejected with 411.
+    in flight per connection.  Framing the bridge cannot honour — a
+    chunked upload (411), a malformed (400) or over-cap (413) length —
+    is answered with a structured error and the connection closes.
     """
 
     def __init__(self, app: ServingApp) -> None:
@@ -253,11 +282,22 @@ class _StdlibBridge:
         self._handlers.add(asyncio.current_task())
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ServingError as exc:
+                    body = json.dumps(exc.to_json()).encode("utf-8")
+                    await self._write_response(
+                        writer,
+                        exc.status,
+                        [(b"content-type", b"application/json")],
+                        body,
+                        False,
+                    )
+                    break
                 if request is None:
                     break
                 method, path, body, keep_alive = request
-                status, headers, payload = await self._dispatch(
+                status, headers, payload = await self.app.exchange(
                     method, path, body
                 )
                 await self._write_response(
@@ -283,28 +323,29 @@ class _StdlibBridge:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes, bool]]:
-        request_line = await reader.readline()
-        if not request_line.strip():
+        head = await _read_head(reader)
+        if head is None:
             return None
+        request_line, headers, length = head
         try:
-            method, target, version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
+            method, target, version = request_line.split(" ", 2)
         except ValueError:
             return None
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         if "chunked" in headers.get("transfer-encoding", "").lower():
-            # The bridge frames bodies by Content-Length only; a
-            # chunked upload gets an empty body (the app rejects it as
-            # bad-request) and the connection closes to resynchronise.
-            return method, target, b"", False
-        length = int(headers.get("content-length", "0") or "0")
+            raise ServingError(
+                "bad-request",
+                "chunked request bodies are not supported; send a "
+                "content-length",
+                status=411,
+            )
+        if length > _MAX_BODY_BYTES:
+            # Answered before reading: the app's cap could never fire
+            # on a body the bridge is still waiting to receive.
+            raise ServingError(
+                "bad-request",
+                f"request body exceeds {_MAX_BODY_BYTES} bytes",
+                status=413,
+            )
         body = await reader.readexactly(length) if length else b""
         keep_alive = (
             version.upper() != "HTTP/1.0"
@@ -312,50 +353,6 @@ class _StdlibBridge:
         )
         path = target.split("?", 1)[0]
         return method, path, body, keep_alive
-
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, List[Tuple[bytes, bytes]], bytes]:
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method,
-            "scheme": "http",
-            "path": path,
-            "raw_path": path.encode("latin-1"),
-            "query_string": b"",
-            "headers": [(b"content-type", b"application/json")],
-        }
-        sent = False
-
-        async def receive() -> Dict[str, Any]:
-            nonlocal sent
-            if sent:
-                return {"type": "http.disconnect"}
-            sent = True
-            return {
-                "type": "http.request",
-                "body": body,
-                "more_body": False,
-            }
-
-        messages: List[Dict[str, Any]] = []
-
-        async def send(message: Dict[str, Any]) -> None:
-            messages.append(message)
-
-        await self.app(scope, receive, send)
-        status = 500
-        headers: List[Tuple[bytes, bytes]] = []
-        chunks: List[bytes] = []
-        for message in messages:
-            if message["type"] == "http.response.start":
-                status = message["status"]
-                headers = list(message.get("headers", []))
-            elif message["type"] == "http.response.body":
-                chunks.append(message.get("body", b""))
-        return status, headers, b"".join(chunks)
 
     async def _write_response(
         self,
@@ -609,12 +606,14 @@ class ServingFleet:
 class FleetClient(_ClientBase):
     """Async client over real sockets, one per fleet worker.
 
-    Same request vocabulary as :class:`~repro.serving.ServingClient` /
-    :class:`~repro.serving.ASGIClient` (the ``_ClientBase`` builders),
-    plus routing: requests that carry a lineage hash it (stable CRC32
-    of the wire form — ``hash()`` is salted per process, so it cannot
-    route) to pick a worker, which keeps repeated point queries on the
-    same worker's warm response cache; everything else round-robins.
+    The vocabulary of :class:`~repro.serving.ServingClient` /
+    :class:`~repro.serving.ASGIClient`; only the transport differs.
+    Requests that carry a lineage hash it (stable CRC32 of the wire
+    form — ``hash()`` is salted per process, so it cannot route) to
+    pick a worker, which keeps repeated point queries on the same
+    worker's warm response cache; everything else round-robins.
+    Status and store-catalog calls fan out to every worker and return
+    the per-worker list.
 
     Connections are persistent (keep-alive) and serialized per worker
     with a lock; a dropped connection is re-dialed once per request.
@@ -683,9 +682,12 @@ class FleetClient(_ClientBase):
         path: str,
         body: Optional[Dict[str, Any]] = None,
         *,
-        worker: int = 0,
+        worker: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """One request/response against ``worker``; decoded JSON body."""
+        """One request/response against ``worker`` (routed by
+        :meth:`worker_for` when not given); decoded JSON body."""
+        if worker is None:
+            worker = self.worker_for(body or {})
         raw = json.dumps(body).encode("utf-8") if body is not None else b""
         host, port = self.addresses[worker]
         request = (
@@ -701,7 +703,15 @@ class FleetClient(_ClientBase):
                 try:
                     writer.write(request)
                     await writer.drain()
-                    status, payload = await self._read_response(reader)
+                    head = await _read_head(reader)
+                    if head is None:
+                        raise ConnectionResetError(
+                            "connection closed by worker"
+                        )
+                    status_line, _headers, length = head
+                    response = (
+                        await reader.readexactly(length) if length else b""
+                    )
                     break
                 except (
                     asyncio.IncompleteReadError,
@@ -715,45 +725,11 @@ class FleetClient(_ClientBase):
                     writer.close()
                     if attempt:
                         raise
-        if status >= 300:
-            error = payload.get("error", {})
-            raise ServingError(
-                error.get("code", "internal"),
-                error.get("message", f"HTTP {status}"),
-                status=status,
-                details=error.get("details"),
-            )
-        return payload
+        return _decode(int(status_line.split(" ", 2)[1]), response)
 
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> Tuple[int, Dict[str, Any]]:
-        status_line = await reader.readline()
-        if not status_line:
-            raise ConnectionResetError("connection closed by worker")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        status = int(parts[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        body = await reader.readexactly(length) if length else b""
-        return status, json.loads(body or b"{}")
-
-    # -- request vocabulary ---------------------------------------------
     async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        op = payload["op"]
-        body = {
-            key: value for key, value in payload.items() if key != "op"
-        }
-        worker = self.worker_for(payload)
         try:
-            return await self.http("POST", f"/v1/{op}", body, worker=worker)
+            return await super().request(payload)
         except ServingError as exc:
             delay = exc.retry_after_seconds
             if not (
@@ -762,18 +738,19 @@ class FleetClient(_ClientBase):
                 raise
             # One Retry-After-guided retry; a second 429 surfaces.
             await self._sleep(float(delay))
-            return await self.http("POST", f"/v1/{op}", body, worker=worker)
+            return await super().request(payload)
 
-    async def stats(self) -> List[Dict[str, Any]]:
-        """Per-worker ``/v1/stats`` summaries, in worker order."""
+    async def admin(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Status and catalog calls go to **every** worker (the catalog
+        is replicated, not partitioned); per-worker results in worker
+        order."""
         return [
-            await self.http("GET", "/v1/stats", worker=index)
-            for index in range(len(self.addresses))
-        ]
-
-    async def healthz(self) -> List[Dict[str, Any]]:
-        return [
-            await self.http("GET", "/healthz", worker=index)
+            await self.http(method, path, body, worker=index)
             for index in range(len(self.addresses))
         ]
 
@@ -799,30 +776,6 @@ class FleetClient(_ClientBase):
         )
         totals["workers"] = float(len(summaries))
         return totals
-
-    # -- catalog ---------------------------------------------------------
-    async def add_store(
-        self, name: str, path: str, *, lazy: bool = False
-    ) -> List[Dict[str, Any]]:
-        """Register a store on **every** worker (the catalog is
-        replicated, not partitioned)."""
-        body: Dict[str, Any] = {"name": name, "path": path}
-        if lazy:
-            body["lazy"] = True
-        return [
-            await self.http(
-                "POST", "/v1/stores/add", body, worker=index
-            )
-            for index in range(len(self.addresses))
-        ]
-
-    async def drop_store(self, name: str) -> List[Dict[str, Any]]:
-        return [
-            await self.http(
-                "POST", "/v1/stores/drop", {"name": name}, worker=index
-            )
-            for index in range(len(self.addresses))
-        ]
 
     async def close(self) -> None:
         for connection in self._connections:

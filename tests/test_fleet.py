@@ -225,6 +225,52 @@ class TestFleetServing:
 
         run(scenario())
 
+    def test_every_catalog_call_reaches_every_worker(self, fleet_stack):
+        directory = fleet_stack["tmp_path"] / "served"
+        directory.mkdir()
+        circuits = build_store(
+            fleet_stack["registry"], directory / "shard.rcir", [COLD]
+        )
+
+        async def scenario():
+            client = FleetClient(fleet_stack["addresses"])
+            try:
+                served = await client.serve_directory(str(directory))
+                assert [result["added"] for result in served] == [
+                    ["shard"],
+                    ["shard"],
+                ]
+                reloaded = await client.reload_store("shard")
+                assert [result["name"] for result in reloaded] == [
+                    "shard",
+                    "shard",
+                ]
+                assert all(result["entries"] == 1 for result in reloaded)
+                listed = await client.stores()
+                assert all("shard" in result["stores"] for result in listed)
+                for index in range(2):
+                    response = await client.http(
+                        "POST",
+                        "/v1/evaluate",
+                        {
+                            "lineage": dnf_to_json(dnf(*COLD)),
+                            "store": "shard",
+                        },
+                        worker=index,
+                    )
+                    assert response["strategy"] == "store"
+                    assert response["value"] == circuits[COLD].evaluate(
+                        None
+                    )
+                # Retire it for the module's other tests: file first,
+                # or the served directory re-registers it on a miss.
+                (directory / "shard.rcir").unlink()
+                await client.drop_store("shard")
+            finally:
+                await client.close()
+
+        run(scenario())
+
     def test_healthz_and_stats_per_worker(self, fleet_stack):
         async def scenario():
             client = FleetClient(fleet_stack["addresses"])

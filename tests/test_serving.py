@@ -40,6 +40,7 @@ from repro.serving import (
     ServingEngine,
     ServingError,
     ServingStats,
+    overrides_to_json,
 )
 
 
@@ -512,8 +513,16 @@ class TestIdleFlush:
 # ----------------------------------------------------------------------
 class TestASGI:
     def test_wire_matches_direct(self, served):
+        # A fresh engine over the same stores: the wire request below
+        # must not replay this one from the response cache.
         direct = run(
-            served["client"].evaluate(dnf(*L1), overrides={"x4": 0.6})
+            ServingEngine(served["stores"]).handle(
+                {
+                    "op": "evaluate",
+                    "lineage": dnf(*L1),
+                    "overrides": overrides_to_json({"x4": 0.6}),
+                }
+            )
         )
         wired = run(
             served["wire"].evaluate(dnf(*L1), overrides={"x4": 0.6})
