@@ -121,9 +121,12 @@ class DecompositionCache:
                 self._reset()
             self._config = config
 
-    def trim(self) -> None:
-        """Clear everything once the entry cap is exceeded."""
-        if len(self) > self.max_entries:
+    def trim(self, max_entries: Optional[int] = None) -> None:
+        """Clear everything once ``max_entries`` (default: the cap) is
+        exceeded."""
+        if len(self) > (
+            self.max_entries if max_entries is None else max_entries
+        ):
             self._reset()
 
     def evict_intersecting(self, variable_ids) -> int:

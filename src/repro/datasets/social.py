@@ -27,8 +27,6 @@ import itertools
 import random
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from .graphs import ProbabilisticGraph, graph_from_edges
 
 __all__ = [
@@ -54,6 +52,9 @@ def karate_club_network(
     seed: int = 34,
 ) -> ProbabilisticGraph:
     """Zachary's karate club with seeded per-edge belief probabilities."""
+    # Imported here: networkx is large, and only this dataset needs it.
+    import networkx as nx
+
     graph = nx.karate_club_graph()
     edges = [(min(u, v), max(u, v)) for u, v in graph.edges()]
     return graph_from_edges(

@@ -28,6 +28,7 @@ Classifiers implemented here:
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import (
     Dict,
     FrozenSet,
@@ -59,16 +60,22 @@ __all__ = [
 class Var:
     """A query variable."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         self.name = name
+        # Variables key every binding, index and classifier set: hash once.
+        self._hash = hash(("Var", name))
+
+    def __reduce__(self):
+        # String hashes are per process: rebuild (and rehash) on load.
+        return (Var, (self.name,))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("Var", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return self.name
@@ -94,12 +101,14 @@ class Const:
 
 Term = Union[Var, Const]
 
-_COMPARATORS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "!=": lambda a, b: a != b,
+#: Comparison operator -> binary predicate (shared with the row scans of
+#: :mod:`repro.db.engine`).
+COMPARATORS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "!=": operator.ne,
 }
 
 
@@ -131,7 +140,7 @@ class Inequality:
     __slots__ = ("left", "op", "right")
 
     def __init__(self, left: Term, op: str, right: Term) -> None:
-        if op not in _COMPARATORS:
+        if op not in COMPARATORS:
             raise ValueError(f"unsupported comparison operator {op!r}")
         self.left = left
         self.op = op
@@ -153,7 +162,7 @@ class Inequality:
             if isinstance(self.right, Var)
             else self.right.value
         )
-        return _COMPARATORS[self.op](left, right)
+        return COMPARATORS[self.op](left, right)
 
     def __repr__(self) -> str:
         return f"{self.left!r} {self.op} {self.right!r}"
@@ -162,7 +171,14 @@ class Inequality:
 class ConjunctiveQuery:
     """``q(head) :- subgoals, inequalities``."""
 
-    __slots__ = ("name", "head", "subgoals", "inequalities")
+    __slots__ = (
+        "name",
+        "head",
+        "subgoals",
+        "inequalities",
+        "_hierarchical",
+        "_inequality_homes",
+    )
 
     def __init__(
         self,
@@ -177,6 +193,9 @@ class ConjunctiveQuery:
         self.head = tuple(head)
         self.subgoals = tuple(subgoals)
         self.inequalities = tuple(inequalities)
+        # Classifier memos: a query's structure never changes.
+        self._hierarchical: Optional[bool] = None
+        self._inequality_homes: Optional[Tuple[Tuple[int, ...], ...]] = None
         body_vars = self.variables()
         for var in self.head:
             if var not in body_vars:
@@ -217,19 +236,45 @@ class ConjunctiveQuery:
         names = [subgoal.relation for subgoal in self.subgoals]
         return len(names) != len(set(names))
 
+    def inequality_homes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per inequality, the subgoals holding all of its variables.
+
+        A non-empty entry is a *local selection*: a row filter on each of
+        those subgoals.  An empty one is an inequality join across
+        subgoals (the IQ queries of Definition 6.6).  Memoised.
+        """
+        if self._inequality_homes is None:
+            subgoal_vars = [set(subgoal.variables()) for subgoal in self.subgoals]
+            self._inequality_homes = tuple(
+                tuple(
+                    index
+                    for index, variables in enumerate(subgoal_vars)
+                    if variables.issuperset(inequality.variables())
+                )
+                for inequality in self.inequalities
+            )
+        return self._inequality_homes
+
     # ------------------------------------------------------------------
     # Classifications
     # ------------------------------------------------------------------
     def is_hierarchical(self) -> bool:
         """Definition 6.1: the subgoal sets of any two non-head variables
-        are disjoint or one contains the other."""
-        non_head = self.non_head_variables()
-        sets = {var: self.subgoal_set(var) for var in non_head}
-        for left, right in itertools.combinations(non_head, 2):
-            a, b = sets[left], sets[right]
-            if not (a <= b or b <= a or a.isdisjoint(b)):
-                return False
-        return True
+        are disjoint or one contains the other.  One pass over the body,
+        memoised on the query."""
+        if self._hierarchical is None:
+            head = set(self.head)
+            sets: Dict[Var, Set[int]] = {}
+            for index, subgoal in enumerate(self.subgoals):
+                for term in subgoal.terms:
+                    if isinstance(term, Var) and term not in head:
+                        sets.setdefault(term, set()).add(index)
+            distinct = {frozenset(indices) for indices in sets.values()}
+            self._hierarchical = all(
+                a <= b or b <= a or a.isdisjoint(b)
+                for a, b in itertools.combinations(distinct, 2)
+            )
+        return self._hierarchical
 
     def _per_subgoal_variable_sets(self) -> List[Set[Var]]:
         """Non-head variable sets ``xᵢ − x₀`` per subgoal."""

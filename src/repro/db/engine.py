@@ -6,18 +6,31 @@ tuple, the lineage formula whose probability is the tuple's confidence —
 the reduction from query evaluation to DNF probability that the paper's
 Section VI.A recalls.
 
-Joins are hash-based: each subgoal indexes its relation's rows by the
-positions of already-bound variables, and inequality predicates are applied
-as soon as both sides are bound.  Lineage is conjoined along a join path
-and disjoined across derivations of the same answer.
+Every subgoal's relation is scanned once (:func:`scan`).  Selections are
+pushed into that scan and checked by column position, without building a
+binding per row: the subgoal's constants, its repeated variables, and
+every inequality whose variables all occur in the subgoal (a local
+selection such as ``l_shipdate >= 100``).  Joins are then hash-based:
+each subgoal indexes its surviving rows by the positions of variables
+bound by earlier subgoals, and only cross-subgoal inequalities (the IQ
+joins) are checked in the join loop, as soon as both sides are bound.
+
+Lineage is built only when read.  A partial result carries its bound
+values and the tuple of row lineages along its join path; an answer
+keeps its derivations, and :attr:`QueryAnswer.lineage` conjoins each one
+and disjoins across them on first access.  Callers that only want the
+answer tuples (SPROUT, ``QueryResult.answers()``) never pay for it.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     Hashable,
     List,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -25,171 +38,200 @@ from typing import (
 from ..core.dnf import DNF
 from ..core.formulas import Formula, conj, disj
 from ..core.orders import VariableSelector, make_variable_selector
-from .cq import Const, ConjunctiveQuery, Inequality, SubGoal, Var
+from .cq import COMPARATORS, Const, ConjunctiveQuery, Inequality, SubGoal, Var
 from .database import Database
+from .relation import Relation
 
 __all__ = [
     "evaluate",
     "evaluate_to_dnf",
     "answer_selector",
+    "scan",
+    "local_selections",
+    "values_at",
     "QueryAnswer",
 ]
 
+Values = Tuple[Hashable, ...]
+Derivation = Tuple[Formula, ...]
+
 
 class QueryAnswer:
-    """One answer tuple with its lineage."""
+    """One answer tuple with its (lazily built) lineage.
 
-    __slots__ = ("values", "lineage")
+    ``derivations`` holds one tuple of row lineages per join path that
+    produced the answer; :attr:`lineage` is their ``∨`` of ``∧``.
+    """
 
-    def __init__(self, values: Tuple[Hashable, ...], lineage: Formula) -> None:
+    __slots__ = ("values", "derivations", "_lineage")
+
+    def __init__(
+        self, values: Values, derivations: Sequence[Derivation]
+    ) -> None:
         self.values = values
-        self.lineage = lineage
+        self.derivations = derivations
+        self._lineage: Optional[Formula] = None
+
+    @property
+    def lineage(self) -> Formula:
+        if self._lineage is None:
+            self._lineage = disj(
+                *(conj(*derivation) for derivation in self.derivations)
+            )
+        return self._lineage
 
     def __repr__(self) -> str:
         return f"QueryAnswer({self.values!r})"
 
 
-def _plan_inequalities(
-    query: ConjunctiveQuery,
-) -> List[Tuple[int, Inequality]]:
-    """Pair each inequality with the earliest subgoal index after which
-    both its variables are bound."""
-    bound: List[Var] = []
-    planned: List[Tuple[int, Inequality]] = []
-    remaining = list(query.inequalities)
-    for index, subgoal in enumerate(query.subgoals):
-        for var in subgoal.variables():
-            if var not in bound:
-                bound.append(var)
-        still_waiting = []
-        for inequality in remaining:
-            if all(var in bound for var in inequality.variables()):
-                planned.append((index, inequality))
-            else:
-                still_waiting.append(inequality)
-        remaining = still_waiting
-    if remaining:
+def values_at(positions: Sequence[int]) -> Callable[[Sequence], Values]:
+    """``row -> tuple(row[p] for p in positions)``, without the loop
+    (a join key, a partial's new values, an answer's head values)."""
+    if not positions:
+        return lambda _row: ()
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
+
+
+def local_selections(query: ConjunctiveQuery) -> List[List[Inequality]]:
+    """Per subgoal, the inequalities whose variables it holds alone."""
+    local: List[List[Inequality]] = [[] for _ in query.subgoals]
+    for inequality, homes in zip(
+        query.inequalities, query.inequality_homes()
+    ):
+        for index in homes:
+            local[index].append(inequality)
+    return local
+
+
+def _test(
+    inequality: Inequality, index: Dict[Var, int]
+) -> Callable[[Sequence], bool]:
+    """``inequality`` as a predicate on a values tuple in which each
+    variable sits at ``index[var]`` (a row, or a partial's bound values)."""
+    compare = COMPARATORS[inequality.op]
+    left, right = inequality.left, inequality.right
+    if isinstance(left, Var) and isinstance(right, Var):
+        li, ri = index[left], index[right]
+        return lambda values: compare(values[li], values[ri])
+    if isinstance(left, Var):
+        li, constant = index[left], right.value
+        return lambda values: compare(values[li], constant)
+    if isinstance(right, Var):
+        ri, constant = index[right], left.value
+        return lambda values: compare(constant, values[ri])
+    holds = compare(left.value, right.value)
+    return lambda _values: holds
+
+
+def scan(
+    subgoal: SubGoal,
+    relation: Relation,
+    selections: Sequence[Inequality],
+) -> List[Tuple[Values, Formula]]:
+    """``relation``'s rows that match ``subgoal`` on their own, in order.
+
+    A row matches when it equals the subgoal's constants, agrees with
+    itself on repeated variables, and satisfies ``selections`` (local
+    inequalities: all their variables occur in ``subgoal``).  Each check
+    is one positional filter over the surviving rows.
+    """
+    terms = subgoal.terms
+    if len(relation.attributes) != len(terms):
         raise ValueError(
-            f"inequalities {remaining!r} use variables not bound by any "
-            "subgoal"
+            f"subgoal {subgoal!r} has {len(terms)} terms but "
+            f"relation {relation.name!r} has "
+            f"{len(relation.attributes)} attributes"
         )
-    return planned
+    rows = relation.rows
+    first: Dict[Var, int] = {}
+    for position, term in enumerate(terms):
+        if isinstance(term, Const):
+            value = term.value
+            rows = [row for row in rows if row[0][position] == value]
+        elif term in first:
+            earlier = first[term]
+            rows = [
+                row for row in rows if row[0][position] == row[0][earlier]
+            ]
+        else:
+            first[term] = position
+    for inequality in selections:
+        test = _test(inequality, first)
+        rows = [row for row in rows if test(row[0])]
+    return rows
 
 
 def evaluate(query: ConjunctiveQuery, database: Database) -> List[QueryAnswer]:
-    """All distinct answers of ``query`` with ``∨``-merged lineage."""
-    checks_after = _plan_inequalities(query)
+    """All distinct answers of ``query``, in order of first derivation,
+    with ``∨``-merged lineage (built on first read)."""
+    selections = local_selections(query)
+    joins = [
+        inequality
+        for inequality, homes in zip(
+            query.inequalities, query.inequality_homes()
+        )
+        if not homes
+    ]
 
-    # Partial results: (binding, lineage) pairs.
-    partials: List[Tuple[Dict[Var, Hashable], Formula]] = [({}, None)]
-
+    # Partial results: (bound values by slot, row lineages so far).
+    slots: Dict[Var, int] = {}
+    partials: List[Tuple[Values, Derivation]] = [((), ())]
     for index, subgoal in enumerate(query.subgoals):
-        relation = database[subgoal.relation]
-        if len(relation.attributes) != len(subgoal.terms):
-            raise ValueError(
-                f"subgoal {subgoal!r} has {len(subgoal.terms)} terms but "
-                f"relation {relation.name!r} has "
-                f"{len(relation.attributes)} attributes"
-            )
-        # Which term positions are already determined (constants, repeated
-        # variables within this subgoal, or variables bound earlier)?
-        bound_vars = set(partials[0][0]) if partials else set()
+        rows = scan(subgoal, database[subgoal.relation], selections[index])
+        # Join on variables bound earlier; bind the subgoal's new ones.
+        # Repeated variables are keyed or bound once: the scan already
+        # equated their other positions.
         key_positions: List[int] = []
-        first_occurrence: Dict[Var, int] = {}
+        key_slots: List[int] = []
+        new_positions: List[int] = []
+        earlier = len(slots)
         for position, term in enumerate(subgoal.terms):
-            if isinstance(term, Const):
-                key_positions.append(position)
-            elif term in bound_vars:
-                key_positions.append(position)
-            elif term in first_occurrence:
-                # Repeated new variable inside this subgoal: equality is
-                # enforced row-wise below, not via the join key.
-                pass
-            else:
-                first_occurrence[term] = position
-        new_var_positions = list(first_occurrence.items())
-
-        # Index relation rows by the values at all key positions that are
-        # constants or previously-bound variables; constants are resolved
-        # immediately, bound variables per partial result.
-        const_positions = [
-            (position, subgoal.terms[position].value)
-            for position in key_positions
-            if isinstance(subgoal.terms[position], Const)
-        ]
-        var_key_positions = [
-            position
-            for position in key_positions
-            if isinstance(subgoal.terms[position], Var)
-        ]
-
-        index_map: Dict[Tuple[Hashable, ...], List[int]] = {}
-        usable_rows: List[Tuple[Tuple[Hashable, ...], Formula]] = []
-        for row_values, row_lineage in relation.rows:
-            if any(
-                row_values[position] != value
-                for position, value in const_positions
-            ):
+            if not isinstance(term, Var):
                 continue
-            # Repeated variables inside one subgoal must match themselves.
-            consistent = True
-            seen: Dict[Var, Hashable] = {}
-            for position, term in enumerate(subgoal.terms):
-                if isinstance(term, Var):
-                    if term in seen and seen[term] != row_values[position]:
-                        consistent = False
-                        break
-                    seen[term] = row_values[position]
-            if not consistent:
-                continue
-            row_id = len(usable_rows)
-            usable_rows.append((row_values, row_lineage))
-            key = tuple(
-                row_values[position] for position in var_key_positions
-            )
-            index_map.setdefault(key, []).append(row_id)
+            slot = slots.get(term)
+            if slot is None:
+                slots[term] = len(slots)
+                new_positions.append(position)
+            elif slot < earlier and slot not in key_slots:
+                key_positions.append(position)
+                key_slots.append(slot)
+        row_key = values_at(key_positions)
+        index_map: Dict[Values, List[Tuple[Values, Formula]]] = {}
+        for row in rows:
+            index_map.setdefault(row_key(row[0]), []).append(row)
 
-        key_vars = [subgoal.terms[position] for position in var_key_positions]
-        checks_now = [
-            inequality for at, inequality in checks_after if at == index
+        # Cross-subgoal inequalities run as soon as both sides are bound.
+        ready = [
+            inequality
+            for inequality in joins
+            if all(var in slots for var in inequality.variables())
         ]
-
-        next_partials: List[Tuple[Dict[Var, Hashable], Formula]] = []
-        for binding, lineage in partials:
-            key = tuple(binding[var] for var in key_vars)
-            for row_id in index_map.get(key, ()):
-                row_values, row_lineage = usable_rows[row_id]
-                new_binding = dict(binding)
-                for var, position in new_var_positions:
-                    new_binding[var] = row_values[position]
-                if not all(
-                    inequality.holds(new_binding)
-                    for inequality in checks_now
-                ):
+        joins = [inequality for inequality in joins if inequality not in ready]
+        checks = [_test(inequality, slots) for inequality in ready]
+        partial_key = values_at(key_slots)
+        new_values = values_at(new_positions)
+        next_partials: List[Tuple[Values, Derivation]] = []
+        for bound, lineages in partials:
+            for values, row_lineage in index_map.get(partial_key(bound), ()):
+                extended = bound + new_values(values)
+                if checks and not all(check(extended) for check in checks):
                     continue
-                combined = (
-                    row_lineage
-                    if lineage is None
-                    else conj(lineage, row_lineage)
-                )
-                next_partials.append((new_binding, combined))
+                next_partials.append((extended, lineages + (row_lineage,)))
         partials = next_partials
         if not partials:
-            break
+            return []
 
     # Group by head values; Boolean queries group everything into ().
-    merged: Dict[Tuple[Hashable, ...], List[Formula]] = {}
-    order: List[Tuple[Hashable, ...]] = []
-    for binding, lineage in partials:
-        answer = tuple(binding[var] for var in query.head)
-        if answer not in merged:
-            merged[answer] = []
-            order.append(answer)
-        merged[answer].append(
-            lineage if lineage is not None else conj()
-        )
+    head_values = values_at([slots[var] for var in query.head])
+    merged: Dict[Values, List[Derivation]] = {}
+    for bound, lineages in partials:
+        merged.setdefault(head_values(bound), []).append(lineages)
     return [
-        QueryAnswer(answer, disj(*merged[answer])) for answer in order
+        QueryAnswer(values, derivations)
+        for values, derivations in merged.items()
     ]
 
 

@@ -88,25 +88,34 @@ class Relation:
         self.rows.append((values, lineage))
 
     def has_simple_lineage(self) -> bool:
-        """True when every row's lineage is a bare atom or ``⊤``.
+        """True when every row's lineage is ``⊤`` or an atom over a
+        variable no other row of the relation uses.
 
-        This is the tuple-independent/certain row shape SPROUT requires.
-        The verdict is memoised per row count — rows are append-only
-        throughout the library, so a matching count means no new rows —
-        sparing the planner a full relation scan per query.  Should
-        external code ever replace a row in place (same count), a stale
-        "simple" verdict cannot corrupt results: SPROUT itself re-checks
-        every row's lineage and the planner falls back on its
-        ``UnsafeQueryError``.
+        This is the tuple-independent/certain row shape SPROUT requires:
+        a BID block with two alternatives shares one variable, so its
+        rows are correlated and the relation does not qualify.  The
+        verdict is memoised per row count; the mutation helpers of
+        :mod:`repro.db.mutations` reset the memo whenever they touch
+        rows.  A stale verdict (rows replaced in place by other code)
+        cannot corrupt results: SPROUT re-checks every candidate row and
+        the planner falls back on its ``UnsafeQueryError``.
         """
         memo = self._simple_lineage_memo
         count = len(self.rows)
         if memo is not None and memo[0] == count:
             return memo[1]
-        verdict = all(
-            isinstance(lineage, (AtomNode, TrueNode))
-            for _values, lineage in self.rows
-        )
+        seen = set()
+        verdict = True
+        for _values, lineage in self.rows:
+            if isinstance(lineage, AtomNode):
+                var_id = lineage.atom.var_id
+                if var_id in seen:
+                    verdict = False
+                    break
+                seen.add(var_id)
+            elif not isinstance(lineage, TrueNode):
+                verdict = False
+                break
         self._simple_lineage_memo = (count, verdict)
         return verdict
 

@@ -7,10 +7,18 @@ databases, confidence can be computed *extensionally*, by an evaluation
 plan derived from the query's hierarchy — without ever materialising
 lineage.
 
-This module reproduces that operator:
+This module reproduces that operator in one pass over the data:
 
-* an answer's confidence is computed by recursive decomposition of the
-  (head-instantiated, hence Boolean) query:
+* the distinct answers come from :func:`~repro.db.engine.evaluate`,
+  which builds lineage only when it is read — here it never is;
+* each subgoal's relation is scanned once by the same
+  :func:`~repro.db.engine.scan` (constants, repeated variables and
+  local inequalities as row filters), each surviving row reduced to its
+  probability, and the rows partitioned by the head values they bind,
+  in row order;
+* an answer's confidence is then computed on its own partitions by
+  recursive decomposition of the (head-instantiated, hence Boolean)
+  query:
 
   - subgoals that share no unbound variable form independent groups whose
     probabilities multiply (independent-and on disjoint relations — no
@@ -24,9 +32,12 @@ This module reproduces that operator:
 
 The recursion mirrors SPROUT's safe plans: its cost is polynomial in the
 data (each level partitions the remaining rows by the root value).  A
-non-hierarchical query (or one with self-joins) is rejected with
-:class:`UnsafeQueryError` — that is precisely when the d-tree algorithm is
-needed.
+non-hierarchical query (or one with self-joins or inequality joins) is
+rejected with :class:`UnsafeQueryError` — that is precisely when the
+d-tree algorithm is needed.  So is any input whose candidate rows are not
+independent: every row's lineage must be ``⊤`` or an atom over a variable
+no other candidate row mentions (two alternatives of one BID block, or a
+row shared by two relations, are correlated).
 """
 
 from __future__ import annotations
@@ -35,9 +46,9 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.formulas import AtomNode, Formula, TrueNode
 from ..core.variables import VariableRegistry
-from .cq import Const, ConjunctiveQuery, SubGoal, Var
+from .cq import ConjunctiveQuery, Var
 from .database import Database
-from .engine import evaluate
+from .engine import evaluate, local_selections, scan, values_at
 
 __all__ = ["sprout_confidence", "UnsafeQueryError"]
 
@@ -46,12 +57,27 @@ class UnsafeQueryError(ValueError):
     """The query is outside SPROUT's tractable class."""
 
 
-def _row_probability(lineage: Formula, registry: VariableRegistry) -> float:
-    """Probability of one tuple-independent row's lineage."""
+def _row_probability(
+    lineage: Formula, registry: VariableRegistry, used: Set[int]
+) -> float:
+    """Probability of one candidate row, whose variable joins ``used``.
+
+    The row must be certain or a single atom over a variable no earlier
+    candidate row mentioned — otherwise rows are correlated and the
+    extensional products below would be wrong.
+    """
     if isinstance(lineage, TrueNode):
         return 1.0
     if isinstance(lineage, AtomNode):
-        return lineage.atom.probability(registry)
+        atom = lineage.atom
+        if atom.var_id in used:
+            raise UnsafeQueryError(
+                f"candidate rows share the lineage variable "
+                f"{atom.variable!r} (a BID block or a shared row): they "
+                "are correlated, not tuple-independent"
+            )
+        used.add(atom.var_id)
+        return atom.probability(registry)
     raise UnsafeQueryError(
         "SPROUT requires tuple-independent (or certain) input rows; found "
         f"composite lineage {lineage!r}"
@@ -217,72 +243,63 @@ def sprout_confidence(
     """Exact per-answer confidence via SPROUT's extensional evaluation.
 
     Requires a hierarchical conjunctive query without self-joins or
-    inequalities on tuple-independent (or certain) relations; raises
-    :class:`UnsafeQueryError` otherwise.
+    inequality joins whose candidate rows are pairwise independent:
+    every row's lineage is ``⊤`` or an atom over a variable no other
+    candidate row (of any subgoal) mentions.  Raises
+    :class:`UnsafeQueryError` otherwise — BID alternatives of one block,
+    or two relations sharing rows, are correlated and need lineage.
     """
     if query.has_self_join():
         raise UnsafeQueryError("SPROUT does not support self-joins")
     if not query.is_hierarchical():
         raise UnsafeQueryError(f"query {query!r} is not hierarchical")
-
-    # Inequalities are supported only as *selections*: every variable of an
-    # inequality must be local to a single subgoal, where the predicate
-    # becomes a row filter.  Cross-subgoal inequality joins belong to the
-    # IQ algorithm (d-trees with the Lemma 6.8 order), not to SPROUT.
-    local_checks: Dict[int, List] = {}
-    for inequality in query.inequalities:
-        ineq_vars = set(inequality.variables())
-        home = None
-        for index, subgoal in enumerate(query.subgoals):
-            if ineq_vars <= set(subgoal.variables()):
-                home = index
-                break
-        if home is None:
+    # Inequalities are supported only as *selections* (every variable in
+    # one subgoal, where the scan filters on them).  Cross-subgoal
+    # inequality joins belong to the IQ algorithm (d-trees with the
+    # Lemma 6.8 order), not to SPROUT.
+    for inequality, homes in zip(
+        query.inequalities, query.inequality_homes()
+    ):
+        if not homes:
             raise UnsafeQueryError(
                 f"inequality {inequality!r} joins subgoals; this SPROUT "
                 "operator covers equality joins and local selections only"
             )
-        local_checks.setdefault(home, []).append(inequality)
 
+    # Distinct answers, in evaluation order; their lineage is never read.
+    answers = [answer.values for answer in evaluate(query, database)]
+    if not answers:
+        return []
+
+    # One scan per subgoal, partitioned by the head values it binds.
     registry = database.registry
+    head_index = {var: index for index, var in enumerate(query.head)}
+    used: Set[int] = set()
+    partitions = []
+    for subgoal, selections in zip(
+        query.subgoals, local_selections(query)
+    ):
+        positions: Dict[Var, int] = {}
+        for position, term in enumerate(subgoal.terms):
+            if term in head_index and term not in positions:
+                positions[term] = position
+        row_key = values_at(list(positions.values()))
+        answer_key = values_at([head_index[var] for var in positions])
+        groups: Dict[Tuple[Hashable, ...], List[Tuple[tuple, float]]] = {}
+        for values, lineage in scan(
+            subgoal, database[subgoal.relation], selections
+        ):
+            groups.setdefault(row_key(values), []).append(
+                (values, _row_probability(lineage, registry, used))
+            )
+        partitions.append((subgoal.terms, answer_key, groups))
 
-    # Distinct answers come from ordinary evaluation; the confidence of
-    # each is then computed extensionally with head variables fixed.
-    answers = evaluate(query, database)
     results: List[Tuple[Tuple[Hashable, ...], float]] = []
-    for answer in answers:
-        binding: Dict[Var, Hashable] = dict(zip(query.head, answer.values))
-        goals: List[_Goal] = []
-        for goal_index, subgoal in enumerate(query.subgoals):
-            relation = database[subgoal.relation]
-            checks = local_checks.get(goal_index, ())
-            rows: List[Tuple[Tuple[Hashable, ...], float]] = []
-            for values, lineage in relation.rows:
-                consistent = True
-                seen: Dict[Var, Hashable] = {}
-                for position, term in enumerate(subgoal.terms):
-                    if isinstance(term, Const):
-                        if values[position] != term.value:
-                            consistent = False
-                            break
-                    else:
-                        if term in binding and values[position] != binding[term]:
-                            consistent = False
-                            break
-                        if term in seen and seen[term] != values[position]:
-                            consistent = False
-                            break
-                        seen[term] = values[position]
-                if consistent and checks:
-                    row_binding = dict(binding)
-                    row_binding.update(seen)
-                    consistent = all(
-                        inequality.holds(row_binding)
-                        for inequality in checks
-                    )
-                if consistent:
-                    rows.append((values, _row_probability(lineage, registry)))
-            goals.append(_Goal(subgoal.terms, rows))
-        probability = _group_probability(goals, binding, 0)
-        results.append((answer.values, probability))
+    for values in answers:
+        goals = [
+            _Goal(terms, groups.get(answer_key(values), []))
+            for terms, answer_key, groups in partitions
+        ]
+        binding: Dict[Var, Hashable] = dict(zip(query.head, values))
+        results.append((values, _group_probability(goals, binding, 0)))
     return results

@@ -117,6 +117,13 @@ STRATEGY_LADDER: Tuple[str, ...] = (
 
 Lineage = Union[DNF, Formula]
 
+#: What the engine's memos carry from one statement (one
+#: :meth:`ConfidenceEngine.compute_many` batch) into the next: above
+#: these sizes they are cleared when the next batch starts.  Inside a
+#: batch the decomposition cache keeps its own, far larger cap.
+_CARRY_DECOMPOSITIONS = 256
+_CARRY_READ_ONCE = 32
+
 
 @dataclasses.dataclass(frozen=True)
 class EngineConfig:
@@ -1444,6 +1451,11 @@ class ConfidenceEngine:
         lineages = list(lineages)
         if not lineages:
             return []
+        # A statement boundary: distinct statements share little, so
+        # bound what one leaves behind for the next.
+        self.cache.trim(_CARRY_DECOMPOSITIONS)
+        if len(self._readonce_memo) > _CARRY_READ_ONCE:
+            self._readonce_memo.clear()
         if max_total_steps is None:
             max_total_steps = config.max_total_steps
         deadline = (
@@ -1673,7 +1685,9 @@ class ConfidenceEngine:
         inequalities on tuple-independent tables go to SPROUT; everything
         else materialises lineage and re-enters the ladder per answer.
         Without a ``database`` the row-lineage condition is assumed to
-        hold (SPROUT itself re-checks and the planner falls back).
+        hold (SPROUT itself re-checks and the planner falls back).  The
+        structural checks read the query's own memos, so repeated calls
+        for one statement cost a few lookups.
         """
         if query.has_self_join():
             return (
@@ -1686,14 +1700,7 @@ class ConfidenceEngine:
                 "query is not hierarchical (Def. 6.1); lineage enters "
                 "the d-tree ladder per answer",
             )
-        inequalities_local = all(
-            any(
-                set(inequality.variables()) <= set(subgoal.variables())
-                for subgoal in query.subgoals
-            )
-            for inequality in query.inequalities
-        )
-        if not inequalities_local:
+        if not all(query.inequality_homes()):
             return (
                 "dtree",
                 "cross-subgoal inequalities: IQ d-tree order applies, "

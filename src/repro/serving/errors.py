@@ -19,6 +19,7 @@ _DEFAULT_STATUS = {
     "unknown-store": 404,
     "unknown-circuit": 404,
     "stale-version": 409,
+    "corrupt-store": 422,
     "overloaded": 429,
     "quota-exceeded": 429,
     "internal": 500,

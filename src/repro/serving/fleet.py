@@ -66,6 +66,18 @@ __all__ = ["FleetClient", "FleetConfig", "ServingFleet"]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
+#: Most bytes one socket read takes.  asyncio's selector transports read
+#: into a fresh ``max_size`` buffer (256 KiB by default), and glibc maps
+#: every block of 128 KiB or more on its own, so each read would map,
+#: fault in and unmap new pages; a 64 KiB buffer comes from the heap.
+_READ_BYTES = 64 * 1024
+
+
+def _small_reads(writer: asyncio.StreamWriter) -> None:
+    """Cap the reads of ``writer``'s transport at :data:`_READ_BYTES`."""
+    writer.transport.max_size = _READ_BYTES  # type: ignore[attr-defined]
+
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -278,6 +290,7 @@ class _StdlibBridge:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        _small_reads(writer)
         self._writers.add(writer)
         self._handlers.add(asyncio.current_task())
         try:
@@ -666,6 +679,7 @@ class FleetClient(_ClientBase):
             return connection
         host, port = self.addresses[worker]
         reader, writer = await asyncio.open_connection(host, port)
+        _small_reads(writer)
         self._connections[worker] = (reader, writer)
         return reader, writer
 

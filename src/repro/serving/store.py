@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..circuits.cache import CircuitCache, CircuitCacheSnapshot
 from ..circuits.circuit import Circuit
+from ..circuits.serialize import CircuitStoreError
 from ..core import clock
 from ..core.dnf import DNF
 from ..core.variables import VariableRegistry, intern_snapshot
@@ -395,7 +396,19 @@ class CircuitStoreService:
                 status=404,
             ) from exc
         cache = CircuitCache()
-        cache.load_into(path, self.registry, strict=self.strict)
+        try:
+            cache.load_into(path, self.registry, strict=self.strict)
+        except CircuitStoreError as exc:
+            raise ServingError(
+                "corrupt-store",
+                f"store {name!r} at {path!r} cannot be read: {exc}",
+            ) from exc
+        except OSError as exc:
+            raise ServingError(
+                "unknown-store",
+                f"store {name!r} at {path!r} is unreadable: {exc}",
+                status=404,
+            ) from exc
         return StoreSnapshot(
             name, path, version, cache.snapshot(), intern_snapshot()
         )

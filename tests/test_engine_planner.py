@@ -330,3 +330,69 @@ class TestDbPathsRouteThroughEngine:
         )
         report = explain(self_join, db)
         assert report.engine_strategy == "dtree"
+
+
+class TestStatementMemoBound:
+    """What one statement leaves in the engine's memos for the next is
+    bounded; inside one batch the decomposition memo stays warm."""
+
+    IQ_6 = (
+        "select conf() from lineitem l, orders o "
+        "where l.l_extendedprice < o.o_totalprice and l.l_shipdate >= {lo} "
+        "and l.l_shipdate <= {hi} and o.o_totalprice <= {price}"
+    )
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        from repro.datasets.tpch import TPCHConfig, generate_tpch
+
+        return generate_tpch(TPCHConfig(scale_factor=0.1, seed=0))
+
+    def test_distinct_iq_stream_does_not_grow_the_memos(self, tpch):
+        from repro.engine import _CARRY_DECOMPOSITIONS, _CARRY_READ_ONCE
+
+        session = ProbDB(tpch)
+        engine = session.engine
+        rng = random.Random(5)
+        seen = set()
+        memos = {"cache": engine.cache, "read-once": engine._readonce_memo}
+        created = dict.fromkeys(memos, 0)
+        peak = dict.fromkeys(memos, 0)
+        while len(seen) < 300:
+            lo = rng.randrange(0, 2300)
+            sql = self.IQ_6.format(
+                lo=lo, hi=lo + rng.randrange(20, 60),
+                price=rng.randrange(20000, 80000),
+            )
+            if sql in seen:
+                continue
+            seen.add(sql)
+            before = {name: len(memo) for name, memo in memos.items()}
+            session.sql(sql).confidences()
+            for name, memo in memos.items():
+                created[name] += max(0, len(memo) - before[name])
+                peak[name] = max(peak[name], len(memo))
+        # The stream creates many times the carry-over, but a statement
+        # starts from at most the carry-over: one Boolean statement adds
+        # one read-once entry and well under a carry of decompositions.
+        assert created["cache"] > 4 * _CARRY_DECOMPOSITIONS
+        assert peak["cache"] <= 2 * _CARRY_DECOMPOSITIONS
+        assert created["read-once"] > 4 * _CARRY_READ_ONCE
+        assert peak["read-once"] <= _CARRY_READ_ONCE + 1
+
+    def test_budgeted_batch_keeps_its_memo(self, tpch):
+        session = ProbDB(tpch)
+        engine = session.engine
+        lineages = [
+            dnf
+            for lo in range(0, 2300, 100)
+            for _values, dnf in session.sql(
+                self.IQ_6.format(lo=lo, hi=lo + 200, price=60000)
+            ).lineage()
+        ]
+        hits = engine.cache.hits
+        results = engine.compute_many(
+            lineages, epsilon=0.0, max_total_steps=100_000
+        )
+        assert all(result.converged for result in results)
+        assert engine.cache.hits > hits

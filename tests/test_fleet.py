@@ -124,6 +124,35 @@ class TestFleetServing:
 
         run(scenario())
 
+    def test_bodies_larger_than_one_read_round_trip(self, fleet_stack):
+        # Socket reads are capped at 64 KiB on both ends; a request and
+        # a response several reads long must still arrive whole.
+        from repro.serving.fleet import _READ_BYTES
+
+        circuit = fleet_stack["circuits"][L1]
+        scenarios = [
+            {"x0": (index % 97 + 1) / 100.0, "x1": 0.5} for index in range(3000)
+        ]
+
+        async def scenario():
+            client = FleetClient(fleet_stack["addresses"])
+            try:
+                response = await client.sweep(
+                    dnf(*L1), scenarios, store="main"
+                )
+                _reader, writer = next(
+                    c for c in client._connections if c is not None
+                )
+                assert writer.transport.max_size == _READ_BYTES
+            finally:
+                await client.close()
+            return response
+
+        response = run(scenario())
+        assert response["results"] == [
+            circuit.evaluate(overrides) for overrides in scenarios
+        ]
+
     def test_affinity_routes_repeats_onto_warm_cache(self, fleet_stack):
         circuits = fleet_stack["circuits"]
 
@@ -511,3 +540,4 @@ class TestQuotaRetry:
 
         run(scenario())
         assert slept == []
+

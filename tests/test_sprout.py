@@ -1,9 +1,13 @@
 """Tests for the SPROUT-style exact operator (hierarchical queries)."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from repro.core.formulas import conj, disj
 from repro.core.semantics import brute_force_formula_probability
 from repro.core.variables import VariableRegistry
 from repro.db.cq import ConjunctiveQuery, Const, Inequality, SubGoal, Var
@@ -207,3 +211,234 @@ class TestRejections:
         query = ConjunctiveQuery([], [SubGoal("C", [x])])
         with pytest.raises(UnsafeQueryError, match="tuple-independent"):
             sprout_confidence(query, db)
+
+
+# ----------------------------------------------------------------------
+# Correlated candidate rows: SPROUT must refuse, the planner falls back
+# ----------------------------------------------------------------------
+def _bid_block_database():
+    """One BID block whose two alternatives (0.5, 0.4) are exclusive."""
+    reg = VariableRegistry()
+    db = Database(reg)
+    db.add(
+        Relation.block_independent_disjoint(
+            "B", ["x"], {"k": [(("a",), 0.5), (("b",), 0.4)]}, reg
+        )
+    )
+    return db
+
+
+def _shared_rows_database():
+    """``T`` and a renamed copy ``T2`` that shares ``T``'s variables."""
+    reg = VariableRegistry()
+    db = Database(reg)
+    table = Relation.tuple_independent("T", ["x"], [((1,), 0.5)], reg)
+    db.add(table)
+    db.add(table.renamed("T2"))
+    return db
+
+
+class TestCorrelatedRows:
+    def test_bid_block_is_refused_and_answered_exactly(self):
+        from repro import ProbDB
+
+        db = _bid_block_database()
+        x = Var("X")
+        query = ConjunctiveQuery([], [SubGoal("B", [x])])
+        assert not db["B"].has_simple_lineage()
+        with pytest.raises(UnsafeQueryError, match="correlated"):
+            sprout_confidence(query, db)
+        session = ProbDB(db)
+        [(values, result)] = session.query(query).confidences()
+        assert values == ()
+        assert result.strategy != "sprout"
+        assert result.probability == pytest.approx(0.9, abs=1e-12)
+        assert session.query(query).explain().engine_strategy != "sprout"
+
+    def test_single_alternative_blocks_stay_simple(self):
+        reg = VariableRegistry()
+        relation = Relation.block_independent_disjoint(
+            "B", ["x"], {"k": [(("a",), 0.5)], "j": [(("b",), 0.4)]}, reg
+        )
+        assert relation.has_simple_lineage()
+
+    def test_shared_rows_across_relations_fall_back(self):
+        from repro import ProbDB
+
+        db = _shared_rows_database()
+        x = Var("X")
+        query = ConjunctiveQuery(
+            [], [SubGoal("T", [x]), SubGoal("T2", [x])]
+        )
+        with pytest.raises(UnsafeQueryError, match="correlated"):
+            sprout_confidence(query, db)
+        [(_values, result)] = ProbDB(db).query(query).confidences()
+        assert result.strategy != "sprout"
+        assert result.probability == pytest.approx(0.5, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Differential: SPROUT and the lazy-lineage scan against references
+# ----------------------------------------------------------------------
+_SCHEMA = {"R": 3, "S": 2, "T": 1}
+_VARS = [Var("A"), Var("B"), Var("C")]
+
+
+@st.composite
+def small_databases(draw, correlated=False):
+    """Tiny relations with certain rows and repeated values; with
+    ``correlated``, ``R`` is BID or ``T`` shares ``S``'s variables."""
+    reg = VariableRegistry()
+    value = st.integers(min_value=1, max_value=2)
+    prob = st.sampled_from([0.2, 0.5, 0.7, 1.0])
+    relations = {}
+    for name, arity in _SCHEMA.items():
+        tuples = draw(st.lists(
+            st.sampled_from(list(itertools.product((1, 2, 3), repeat=arity))),
+            min_size=1, max_size=5, unique=True,
+        ))
+        if draw(st.booleans()):
+            tuples.append(tuples[0])  # a duplicate tuple, its own variable
+        rows = [(values, draw(prob)) for values in tuples]
+        relations[name] = Relation.tuple_independent(
+            name, ["c"] * arity, rows, reg
+        )
+    if correlated and draw(st.booleans()):
+        alternatives = draw(
+            st.lists(st.tuples(value, value, value), min_size=2,
+                     max_size=3)
+        )
+        relations["R"] = Relation.block_independent_disjoint(
+            "R", ["c"] * 3,
+            {"k": [(values, 0.3) for values in alternatives]}, reg,
+        )
+    elif correlated:
+        relations["T"] = Relation(
+            "T", ["c"],
+            [((values[0],), lineage) for values, lineage in relations["S"]],
+        )
+    db = Database(reg)
+    for relation in relations.values():
+        db.add(relation)
+    return db
+
+
+@st.composite
+def hierarchical_queries(draw):
+    """Hierarchical self-join-free CQs with constants, repeated
+    variables, local selections and partial head variables."""
+    names = draw(
+        st.lists(st.sampled_from(sorted(_SCHEMA)), min_size=1,
+                 max_size=3, unique=True)
+    )
+    term = st.one_of(
+        st.sampled_from(_VARS),
+        st.sampled_from(_VARS[:2]),
+        st.sampled_from(_VARS[:1]),
+        st.integers(min_value=1, max_value=2).map(Const),
+    )
+    subgoals = [
+        SubGoal(name, draw(st.lists(term, min_size=_SCHEMA[name],
+                                    max_size=_SCHEMA[name])))
+        for name in names
+    ]
+    body = []
+    for subgoal in subgoals:
+        body.extend(v for v in subgoal.variables() if v not in body)
+    head = draw(st.lists(st.sampled_from(body), unique=True)) if body else []
+    inequalities = []
+    for subgoal in subgoals:
+        local = subgoal.variables()
+        if local and draw(st.booleans()):
+            op = draw(st.sampled_from(["<", "<=", ">", ">=", "!="]))
+            other = draw(st.sampled_from(local[1:] + [Const(2)]))
+            sides = (local[0], other)
+            if draw(st.booleans()):
+                sides = sides[::-1]
+            inequalities.append(Inequality(sides[0], op, sides[1]))
+    query = ConjunctiveQuery(head, subgoals, inequalities)
+    assume(query.is_hierarchical())
+    return query
+
+
+def reference_lineage(query, db):
+    """Nested-loop join: ``[(answer, DNF)]`` in first-derivation order."""
+    merged = {}
+    relations = [db[subgoal.relation].rows for subgoal in query.subgoals]
+    for combo in itertools.product(*relations):
+        binding = {}
+        consistent = True
+        for subgoal, (values, _lineage) in zip(query.subgoals, combo):
+            for term, value in zip(subgoal.terms, values):
+                if isinstance(term, Const):
+                    consistent &= term.value == value
+                elif binding.setdefault(term, value) != value:
+                    consistent = False
+        if not consistent or not all(
+            inequality.holds(binding) for inequality in query.inequalities
+        ):
+            continue
+        answer = tuple(binding[var] for var in query.head)
+        merged.setdefault(answer, []).append(
+            conj(*(lineage for _values, lineage in combo))
+        )
+    return [
+        (answer, disj(*derivations).to_dnf())
+        for answer, derivations in merged.items()
+    ]
+
+
+DIFFERENTIAL = dict(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+class TestDifferential:
+    @given(small_databases(), hierarchical_queries())
+    @settings(**DIFFERENTIAL)
+    def test_lazy_lineage_matches_nested_loop_join(self, db, query):
+        answers = evaluate(query, db)
+        assert [
+            (answer.values, answer.lineage.to_dnf()) for answer in answers
+        ] == reference_lineage(query, db)
+
+    @given(small_databases(), hierarchical_queries())
+    @settings(**DIFFERENTIAL)
+    def test_sprout_matches_evaluate_and_brute_force(self, db, query):
+        answers = evaluate(query, db)
+        results = sprout_confidence(query, db)
+        assert [values for values, _p in results] == [
+            answer.values for answer in answers
+        ]
+        for (_values, probability), answer in zip(results, answers):
+            expected = brute_force_formula_probability(
+                answer.lineage, db.registry
+            )
+            assert abs(probability - expected) <= 1e-12
+
+    @given(small_databases(correlated=True), hierarchical_queries())
+    @settings(**DIFFERENTIAL)
+    def test_correlated_rows_fall_back_and_match_brute_force(
+        self, db, query
+    ):
+        from repro import ProbDB
+
+        answers = evaluate(query, db)
+        try:
+            sprout_confidence(query, db)
+            refused = False
+        except UnsafeQueryError:
+            refused = True
+        pairs = ProbDB(db).query(query).confidences()
+        assert [values for values, _r in pairs] == [
+            answer.values for answer in answers
+        ]
+        for (_values, result), answer in zip(pairs, answers):
+            if refused:
+                assert result.strategy != "sprout"
+            expected = brute_force_formula_probability(
+                answer.lineage, db.registry
+            )
+            assert abs(result.probability - expected) <= 1e-9

@@ -8,8 +8,9 @@ with a structured error (``{"error": {code, message, details}}`` and a
 * framing: raw bytes over a socket against the bridge;
 * input errors: one regression per client-input mistake that used to
   surface as ``internal``;
-* a property: random JSON bodies POSTed to every ``/v1/<op>`` through
-  :meth:`ServingApp.exchange` never produce status 500.
+* a property: random JSON bodies POSTed to every ``/v1/<op>`` and
+  ``/v1/stores/<action>`` through :meth:`ServingApp.exchange` never
+  produce status 500 (a corrupt store file is ``corrupt-store``, 422).
 """
 
 import asyncio
@@ -279,6 +280,109 @@ class TestWireFuzz:
     def test_no_body_answers_500(self, app, op, body):
         status, _, raw = run(app.exchange("POST", f"/v1/{op}", body))
         payload = json.loads(raw)
+        assert status != 500, payload
+        if status >= 300:
+            assert set(payload) == {"error"}
+            assert isinstance(payload["error"]["code"], str)
+
+
+# ----------------------------------------------------------------------
+# The store catalog: unreadable store files are typed errors
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def catalog(tmp_path_factory):
+    """An app with an empty catalog, plus store files good and bad."""
+    registry = VariableRegistry()
+    for index in range(10):
+        registry.add_boolean(f"x{index}", 0.5)
+    engine = ConfidenceEngine(registry)
+    directory = tmp_path_factory.mktemp("catalog")
+    cache = CircuitCache()
+    cache.put(dnf(*L1), engine.compile_circuit(dnf(*L1)))
+    cache.save(directory / "good.rcir")
+    # 18 bytes: the magic, then too short for the header.
+    (directory / "corrupt.rcir").write_bytes(b"RCIR\x02\x00" + bytes(12))
+    paths = {
+        "<good>": str(directory / "good.rcir"),
+        "<corrupt>": str(directory / "corrupt.rcir"),
+        "<missing>": str(directory / "missing.rcir"),
+        "<dir>": str(directory),
+    }
+    app = ServingApp(
+        ServingEngine(CircuitStoreService(registry, {}), engine)
+    )
+    return app, paths
+
+
+def catalog_post(app, action, body):
+    status, _, raw = run(
+        app.exchange("POST", f"/v1/stores/{action}", json.dumps(body).encode())
+    )
+    return status, json.loads(raw)
+
+
+class TestCorruptStores:
+    def test_eager_add_is_422(self, catalog):
+        app, paths = catalog
+        status, payload = catalog_post(
+            app, "add", {"name": "bad", "path": paths["<corrupt>"]}
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "corrupt-store"
+
+    def test_lazy_add_fails_typed_on_first_use_and_reload(self, catalog):
+        app, paths = catalog
+        status, _ = catalog_post(
+            app, "add",
+            {"name": "lazy-bad", "path": paths["<corrupt>"], "lazy": True},
+        )
+        assert status == 200
+        with pytest.raises(ServingError) as info:
+            run(ASGIClient(app).evaluate(dnf(*L1), store="lazy-bad"))
+        assert (info.value.code, info.value.status) == ("corrupt-store", 422)
+        status, payload = catalog_post(app, "reload", {"name": "lazy-bad"})
+        assert status == 422
+        assert payload["error"]["code"] == "corrupt-store"
+
+    def test_directory_as_store_is_404(self, catalog):
+        app, paths = catalog
+        status, payload = catalog_post(
+            app, "add", {"name": "dir", "path": paths["<dir>"]}
+        )
+        assert status == 404
+        assert payload["error"]["code"] == "unknown-store"
+
+
+CATALOG_FIELDS = {
+    "name": st.sampled_from(["good", "corrupt", "other"]) | JSON,
+    # Placeholders for the fixture's files; strings outside them stay
+    # out so the fuzz never registers files beyond its own directory.
+    "path": st.sampled_from(["<good>", "<corrupt>", "<missing>", "<dir>"])
+    | JSON.filter(lambda value: not isinstance(value, str)),
+    "lazy": JSON,
+    "suffix": st.sampled_from([".rcir", ".bin"]) | JSON,
+}
+
+
+class TestCatalogFuzz:
+    @pytest.mark.parametrize(
+        "action", ["add", "drop", "reload", "serve_directory"]
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(body=st.fixed_dictionaries(
+        {"name": CATALOG_FIELDS["name"], "path": CATALOG_FIELDS["path"]},
+        optional={"lazy": CATALOG_FIELDS["lazy"],
+                  "suffix": CATALOG_FIELDS["suffix"]},
+    ) | st.fixed_dictionaries({}, optional=CATALOG_FIELDS))
+    def test_no_body_answers_500(self, catalog, action, body):
+        app, paths = catalog
+        if isinstance(body.get("path"), str):
+            body["path"] = paths[body["path"]]
+        status, payload = catalog_post(app, action, body)
         assert status != 500, payload
         if status >= 300:
             assert set(payload) == {"error"}
