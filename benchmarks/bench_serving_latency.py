@@ -29,11 +29,14 @@ calling them in-process?  The bench:
   has company, so every one of its flushes must come from the idle
   rule rather than the batch window — a deterministic count.
 
-Results go to ``BENCH_serving.json`` at the repo root.  The built-in
-acceptance bars — micro-batch occupancy above 1.0 in the storm, i.e.
-concurrent same-circuit requests actually coalesced into shared kernel
-flushes, and an idle-flush ratio of exactly 1.0 in the lone leg — are
-asserted unless ``SERVING_BENCH_NO_ASSERT=1``.
+Results go to ``BENCH_serving.json`` at the repo root, with the
+environment they were measured in (commit, ``-dirty`` when the tree has
+uncommitted changes; CPU count; Python and numpy versions; kernel
+backend).  The built-in acceptance bars — micro-batch occupancy above
+1.0 in the storm, i.e. concurrent same-circuit requests actually
+coalesced into shared sweep flushes, and an idle-flush ratio of exactly
+1.0 in the lone leg — are asserted unless
+``SERVING_BENCH_NO_ASSERT=1``.
 
 Smoke mode (``SERVING_BENCH_SMOKE=1``, used by CI): fewer workers and
 rounds.  Runs on the scalar backend too (no numpy required); the
@@ -46,12 +49,15 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import platform
 import random
+import subprocess
 import sys
 import tempfile
 import time
 
 from repro.circuits import CircuitCache
+from repro.circuits.kernels import kernel_backend
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.variables import VariableRegistry
@@ -80,6 +86,31 @@ LONE_REQUESTS = 48 if SMOKE else 320
 WHAT_IF_POINTS = 5
 SWEEP_SCENARIOS = 8
 SEED = 20260808
+
+
+def environment():
+    """Where the numbers were measured: commit, CPUs, versions, backend."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown (not a git checkout)"
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "commit": commit,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "kernel_backend": kernel_backend(),
+    }
 
 
 def build_store(registry, path):
@@ -244,8 +275,8 @@ def main() -> int:
             "circuits": CIRCUITS,
             "concurrency": CONCURRENCY,
             "requests": len(requests),
-            "python": sys.version.split()[0],
         },
+        "environment": environment(),
         "totals": {
             "throughput_rps": serving_rps,
             "p50_ms": latency["p50_ms"],

@@ -10,6 +10,21 @@ results are available (and, for evaluation and bounds, bit-identical)
 on every install.  There is no switch between the two: the import
 decides.
 
+Small batches skip the kernel even with numpy.  Lowering is cached per
+circuit, but every kernel call still builds the base-probability row
+atom by atom and walks the circuit's node groups in Python, so its fixed
+cost grows with the circuit, whatever the row count; a batch of one row
+costs 3–6× one scalar :meth:`Circuit.evaluate`.  :func:`sweep_values`
+and :func:`sweep_bounds` therefore send a batch to the kernel only from
+:data:`KERNEL_MIN_ROWS` (8) scenarios up and run the per-scenario scalar
+loop below that.  The crossover is a row count, not rows × nodes: both
+paths grow about linearly in the node count, so the node count drops out
+of the break-even point.  The scalar loop is the kernel's bit-identity
+oracle, so values and bounds are bit-identical on either side of the
+crossover.  :func:`sweep_gradients` uses the kernel for every batch: its
+adjoint fold agrees with the scalar one only to ~1e-12, and a switch on
+the batch size would make a scenario's gradients depend on its company.
+
 Scenario maps use exactly the :meth:`Circuit.evaluate` override
 vocabulary — ``{variable: P(True)}`` floats for Boolean variables or
 ``{variable: {value: prob}}`` distributions — and are validated the
@@ -46,6 +61,7 @@ from .kernels import (
 )
 
 __all__ = [
+    "KERNEL_MIN_ROWS",
     "SweepResult",
     "refine_sweep_bounds",
     "sweep_bounds",
@@ -55,6 +71,17 @@ __all__ = [
 ]
 
 Scenarios = Sequence[Optional[ProbOverrides]]
+
+#: Batches of at least this many scenarios go to the numpy kernel;
+#: smaller ones run the scalar per-scenario loop.  Measured with warm
+#: kernels (2-CPU x86-64 container, Python 3.11, numpy 2.4) on exact
+#: circuits of 5–191 nodes, the serving benchmark's TPC-H store circuits
+#: (5–30 nodes) among them, values and bounds alike: one row costs
+#: 30 µs on the kernel against 8 µs scalar at 5 nodes, 149 against 27 µs
+#: at 30 nodes, 678 against 144 µs at 191 nodes; the paths break even at
+#: 6–8 rows for every size; at 12 rows the kernel is ahead everywhere
+#: (30 nodes: 199 against 306 µs), at 64 rows by 2–8×.
+KERNEL_MIN_ROWS = 8
 
 
 def what_if_scenarios(
@@ -108,11 +135,11 @@ def sweep_values(
 ) -> List[float]:
     """``P(Φ)`` per scenario (interval midpoints on partial circuits).
 
-    Bit-identical to ``[circuit.evaluate(s) for s in scenarios]``; the
-    numpy backend just pays one batched sweep instead of one Python
-    sweep per scenario.
+    Bit-identical to ``[circuit.evaluate(s) for s in scenarios]``; from
+    :data:`KERNEL_MIN_ROWS` scenarios up the numpy backend pays one
+    batched sweep instead of one Python sweep per scenario.
     """
-    if not _use_kernel(circuit):
+    if len(scenarios) < KERNEL_MIN_ROWS or not _use_kernel(circuit):
         return [circuit.evaluate(overrides) for overrides in scenarios]
     kernel = circuit_kernel(circuit)
     resolved_list, touched_list = _resolved_inputs(circuit, scenarios)
@@ -126,9 +153,10 @@ def sweep_bounds(
 ) -> List[Bounds]:
     """Certified ``[lower, upper]`` per scenario (points when exact).
 
-    Bit-identical to per-scenario :meth:`Circuit.evaluate_bounds`.
+    Bit-identical to per-scenario :meth:`Circuit.evaluate_bounds`; the
+    kernel takes over from :data:`KERNEL_MIN_ROWS` scenarios up.
     """
-    if not _use_kernel(circuit):
+    if len(scenarios) < KERNEL_MIN_ROWS or not _use_kernel(circuit):
         return [
             circuit.evaluate_bounds(overrides) for overrides in scenarios
         ]
@@ -239,8 +267,10 @@ class SweepResult:
 
     ``values[i][s]`` is answer ``i``'s confidence in scenario ``s``
     (interval midpoint for partial circuits).  ``backend`` records
-    which kernel produced the numbers (``"numpy"`` or ``"scalar"``) —
-    they agree bit-for-bit, so the field is provenance, not semantics.
+    the backend that batched sweeps use (``"numpy"`` or ``"scalar"``);
+    batches below :data:`KERNEL_MIN_ROWS` scenarios run the scalar loop
+    either way.  The two agree bit-for-bit, so the field is provenance,
+    not semantics.
     """
 
     __slots__ = ("answers", "values", "backend")

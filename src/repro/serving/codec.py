@@ -21,6 +21,11 @@ Wire shapes
 
 Pair lists (not JSON objects) are used wherever keys may be non-string
 values — JSON object keys must be strings, variable names need not be.
+
+The decoders read a Python tuple wherever they read an array, as
+:func:`json.dumps` writes one.  Payloads that encode to the same JSON
+text therefore decode alike, which lets the serving engine memoise
+decoded lineages by their JSON text.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ __all__ = [
     "value_to_json",
 ]
 
+#: What the decoders accept as a JSON array.
+_ARRAY = (list, tuple)
+
 
 def value_to_json(value: Hashable) -> Any:
     """A variable name / domain value as a JSON-native value."""
@@ -58,7 +66,7 @@ def value_to_json(value: Hashable) -> Any:
 
 def value_from_json(data: Any) -> Hashable:
     """Inverse of :func:`value_to_json` (arrays become tuples)."""
-    if isinstance(data, list):
+    if isinstance(data, _ARRAY):
         return tuple(value_from_json(item) for item in data)
     if isinstance(data, (str, int, float, bool)) or data is None:
         return data
@@ -69,7 +77,7 @@ def value_from_json(data: Any) -> Hashable:
 
 
 def _pair(data: Any, what: str) -> List[Any]:
-    if not isinstance(data, list) or len(data) != 2:
+    if not isinstance(data, _ARRAY) or len(data) != 2:
         raise ServingError(
             "bad-request", f"{what} must be a [a, b] pair, got {data!r}"
         )
@@ -94,14 +102,14 @@ def dnf_to_json(dnf: DNF) -> List[List[List[Any]]]:
 
 def dnf_from_json(data: Any) -> DNF:
     """Parse the wire clause list back into an interned :class:`DNF`."""
-    if not isinstance(data, list):
+    if not isinstance(data, _ARRAY):
         raise ServingError(
             "bad-request",
             f"lineage must be a list of clauses, got {type(data).__name__}",
         )
     clauses = []
     for clause_data in data:
-        if not isinstance(clause_data, list):
+        if not isinstance(clause_data, _ARRAY):
             raise ServingError(
                 "bad-request",
                 "each lineage clause must be a list of [variable, value] "
@@ -148,7 +156,7 @@ def overrides_from_json(data: Any) -> Optional[Dict[Hashable, Any]]:
     """Parse wire overrides into the :meth:`Circuit.evaluate` shape."""
     if data is None:
         return None
-    if not isinstance(data, list):
+    if not isinstance(data, _ARRAY):
         raise ServingError(
             "bad-request",
             "overrides must be a list of [variable, spec] pairs, got "
@@ -160,7 +168,7 @@ def overrides_from_json(data: Any) -> Optional[Dict[Hashable, Any]]:
         variable = value_from_json(variable_data)
         if isinstance(spec, (int, float)) and not isinstance(spec, bool):
             out[variable] = float(spec)
-        elif isinstance(spec, list):
+        elif isinstance(spec, _ARRAY):
             distribution: Dict[Hashable, float] = {}
             for entry in spec:
                 value_data, prob = _pair(entry, "distribution entry")
@@ -185,7 +193,7 @@ def overrides_from_json(data: Any) -> Optional[Dict[Hashable, Any]]:
 
 def scenarios_from_json(data: Any) -> List[Optional[Dict[Hashable, Any]]]:
     """Parse a wire scenario list (each entry overrides-or-null)."""
-    if not isinstance(data, list):
+    if not isinstance(data, _ARRAY):
         raise ServingError(
             "bad-request",
             "scenarios must be a list of overrides payloads, got "
@@ -210,7 +218,7 @@ def answers_from_json(data: Any, count: int) -> List[Hashable]:
     """Optional per-lineage answer labels (defaults to indices)."""
     if data is None:
         return list(range(count))
-    if not isinstance(data, list) or len(data) != count:
+    if not isinstance(data, _ARRAY) or len(data) != count:
         raise ServingError(
             "bad-request",
             f"answers must be a list parallel to lineages ({count} "

@@ -21,8 +21,11 @@ Micro-batching: concurrent single-scenario requests against the *same*
 circuit are coalesced — each enqueues a row into a per-``(circuit,
 kind)`` bucket that flushes after ``batch_window_seconds`` (or at
 ``max_batch`` rows) through one :func:`~repro.circuits.sweep_values` /
-:func:`~repro.circuits.sweep_bounds` call, i.e. one kernel
-``evaluate_batch`` on the numpy backend.  Multi-scenario operations
+:func:`~repro.circuits.sweep_bounds` call.  That call runs one kernel
+``evaluate_batch`` on the numpy backend once the batch reaches
+:data:`~repro.circuits.sweep.KERNEL_MIN_ROWS` rows, and the scalar
+per-row :meth:`~repro.circuits.Circuit.evaluate` loop below it, which
+is cheaper for a few rows.  Multi-scenario operations
 (``what_if``, ``sweep``, ``top_k``) enqueue all their rows at once, so
 batch occupancy exceeds 1 even for a single client.  The window only
 pays off when company can arrive: when a request parks on its rows
@@ -31,6 +34,11 @@ last drained, every pending bucket flushes on the next event-loop
 iteration instead (``ServingStats.idle_flushes``).  Sweep results are
 bit-identical to the scalar path by the sweep module's own contract,
 so batching is a latency decision, never a semantics one.
+
+Wire lineages are decoded and checked against the registry once: the
+engine memoises each lineage's DNF by its JSON text until a registry
+atom probability changes (see :meth:`ServingEngine._lineage`), so a
+warm request pays a :func:`json.dumps` and a dict lookup instead.
 
 Backpressure: admission beyond ``max_inflight + queue_limit`` sheds
 with a structured ``overloaded`` error; admitted requests wait on a
@@ -42,6 +50,7 @@ through :mod:`repro.core.clock`, so tests can fake time) fail with
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import threading
 from dataclasses import dataclass
@@ -82,6 +91,12 @@ _OPS = ("evaluate", "bounds", "gradients", "what_if", "sweep", "top_k")
 #: MC rung, and its convergence is budget-dependent.
 _CACHEABLE_STRATEGIES = frozenset({"store", "overlay", "engine-compile"})
 
+#: Decoded wire lineages :meth:`ServingEngine._lineage` keeps before it
+#: clears the memo wholesale (the CircuitCache policy).  Each entry is
+#: the lineage's JSON text plus a DNF that the response cache and the
+#: overlay usually key on anyway.
+_LINEAGE_MEMO_ENTRIES = 1024
+
 
 def _interval_width(circuit: Circuit) -> float:
     """Root-bound width under base probabilities — the tightness order
@@ -121,7 +136,11 @@ class ServingConfig:
     buckets last drained does not wait: once it parks on its rows they
     flush on the next event-loop iteration.  A window of 0 still
     coalesces the rows one request enqueues in the same tick (a
-    ``what_if`` flushes once, not per row).
+    ``what_if`` flushes once, not per row).  A flushed batch below
+    :data:`~repro.circuits.sweep.KERNEL_MIN_ROWS` rows runs on the
+    scalar circuit path, a larger one on the numpy kernel; the numbers
+    are bit-identical either way, so ``max_batch`` and the window
+    trade latency for throughput, never answers.
     """
 
     max_inflight: int = 64
@@ -323,6 +342,11 @@ class ServingEngine:
             burst=self.config.quota_burst,
             tenant_rates=self.config.tenant_quota_rps,
         )
+        #: Wire lineage JSON text -> decoded DNF that passed the
+        #: registry check, valid for one registry atom-probability
+        #: version (see :meth:`_lineage`).
+        self._lineages: Dict[str, DNF] = {}
+        self._lineages_version = -1
         self._engine_lock = threading.Lock()
         self._pending = 0
         # Loop-bound state, re-created if the engine is reused from a
@@ -502,8 +526,41 @@ class ServingEngine:
         return snapshot
 
     def _lineage(self, data: Any) -> DNF:
-        """Decode a lineage and check every atom against the registry."""
-        dnf = data if isinstance(data, DNF) else dnf_from_json(data)
+        """Decode a lineage and check every atom against the registry.
+
+        Warm traffic names the same few lineages over and over, so the
+        decoded DNF is memoised by the lineage's JSON text, which
+        :func:`json.dumps` builds in a few µs against ~20–120 µs for the
+        decode.  The text identifies the decoded DNF exactly: the codec
+        reads a tuple like the array :func:`json.dumps` writes for it,
+        and anything else that encodes to an array's text fails to
+        decode.  A registry check only changes its verdict when an atom
+        probability is written, added or removed, all of which bump
+        ``VariableRegistry._atom_probs_version``, so the memo is dropped
+        whenever that version moves.  A lineage that fails to decode or
+        validate is never stored, so it fails again on every repeat.
+        """
+        if isinstance(data, DNF):
+            return self._checked(data)
+        version = self.stores.registry._atom_probs_version
+        if version != self._lineages_version:
+            self._lineages.clear()
+            self._lineages_version = version
+        try:
+            key = json.dumps(data)
+        except (TypeError, ValueError):
+            # Not JSON at all: let the decoder name the problem.
+            return self._checked(dnf_from_json(data))
+        dnf = self._lineages.get(key)
+        if dnf is None:
+            dnf = self._checked(dnf_from_json(data))
+            if len(self._lineages) >= _LINEAGE_MEMO_ENTRIES:
+                self._lineages.clear()
+            self._lineages[key] = dnf
+        return dnf
+
+    def _checked(self, dnf: DNF) -> DNF:
+        """``dnf`` itself once every atom is known to the registry."""
         atom_probability = self.stores.registry.atom_probability
         try:
             for clause in dnf:
@@ -632,10 +689,21 @@ class ServingEngine:
         self, snapshot: StoreSnapshot, op: str, *parts: Any
     ) -> Optional[Tuple[Any, ...]]:
         """The cache key for a request, or None when uncacheable
-        (cache disabled, or the caller passes no key on purpose)."""
+        (cache disabled, or the caller passes no key on purpose).
+
+        Besides the snapshot version the key carries the registry's
+        atom-probability version: circuits evaluate against the live
+        registry, so an in-place probability write changes answers
+        without touching the store file.
+        """
         if not self.responses.enabled:
             return None
-        return (snapshot.name, snapshot.version, op) + parts
+        return (
+            snapshot.name,
+            snapshot.version,
+            self.stores.registry._atom_probs_version,
+            op,
+        ) + parts
 
     def _cached_response(
         self, key: Optional[Tuple[Any, ...]]

@@ -624,7 +624,8 @@ class FleetClient(_ClientBase):
     Requests that carry a lineage hash it (stable CRC32 of the wire
     form — ``hash()`` is salted per process, so it cannot route) to
     pick a worker, which keeps repeated point queries on the same
-    worker's warm response cache; everything else round-robins.
+    worker's warm response cache; everything else round-robins.  A
+    one-worker fleet skips the hash: every payload goes to worker 0.
     Status and store-catalog calls fan out to every worker and return
     the per-worker list.
 
@@ -660,6 +661,8 @@ class FleetClient(_ClientBase):
     # -- routing ---------------------------------------------------------
     def worker_for(self, payload: Mapping[str, Any]) -> int:
         """Which worker a payload routes to (exposed for tests)."""
+        if len(self.addresses) == 1:
+            return 0
         lineage = payload.get("lineage")
         if lineage is None:
             lineage = payload.get("lineages")

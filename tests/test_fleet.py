@@ -541,3 +541,25 @@ class TestQuotaRetry:
         run(scenario())
         assert slept == []
 
+
+
+class TestRouting:
+    class Unencodable:
+        """A lineage that fails the moment routing tries to encode it."""
+
+        def __str__(self):
+            raise AssertionError("lineage was encoded for routing")
+
+    def test_one_worker_routes_without_encoding(self):
+        client = FleetClient([("127.0.0.1", 1)])
+        lineage = self.Unencodable()
+        for payload in (
+            {"op": "evaluate", "lineage": lineage},
+            {"op": "top_k", "lineages": [lineage, lineage]},
+            {"op": "evaluate"},
+        ):
+            assert client.worker_for(payload) == 0
+        # The probe does fire where a hash is needed.
+        two = FleetClient([("127.0.0.1", 1), ("127.0.0.1", 2)])
+        with pytest.raises(AssertionError):
+            two.worker_for({"lineage": lineage})

@@ -46,7 +46,9 @@ from repro.circuits.kernels import (
     kernel_backend,
     numpy_available,
 )
+from repro.circuits import sweep as sweep_module
 from repro.circuits.sweep import (
+    KERNEL_MIN_ROWS,
     SweepResult,
     sweep_bounds,
     sweep_gradients,
@@ -143,9 +145,28 @@ def compiled_cases(tag, seed, cases):
 # ----------------------------------------------------------------------
 # Batch vs scalar differential sweeps
 # ----------------------------------------------------------------------
+def kernel_batch(circuit, scenarios, *, bounds=False):
+    """The numpy kernel's own answer for ``scenarios`` as plain Python
+    values, whatever the batch size, or None without numpy (or for an
+    empty circuit, which the sweeps never lower)."""
+    if not numpy_available() or not len(circuit.kinds):
+        return None
+    kernel = circuits.circuit_kernel(circuit)
+    resolved, touched = sweep_module._resolved_inputs(circuit, scenarios)
+    matrix = sweep_module._scenario_matrix(kernel, resolved)
+    if bounds:
+        return [
+            tuple(row)
+            for row in kernel.bounds_batch(matrix, touched).tolist()
+        ]
+    return kernel.evaluate_batch(matrix, touched).tolist()
+
+
 @pytest.mark.parametrize("seed,cases", GROUPS)
 def test_sweep_values_bit_identical(seed, cases):
-    """Batched evaluation == scalar evaluation, bit for bit."""
+    """Batched evaluation == scalar evaluation, bit for bit — through
+    the sweep and straight through the kernel, since six scenarios sit
+    below the sweep's kernel crossover."""
     for circuit, registry, dnf, rng, skip in compiled_cases(
         "kv", seed, cases
     ):
@@ -156,11 +177,17 @@ def test_sweep_values_bit_identical(seed, cases):
             f"seed={seed} dnf={dnf} scenarios={scenarios}: "
             f"{batched} != {scalar}"
         )
+        kernel = kernel_batch(circuit, scenarios)
+        assert kernel in (None, scalar), (
+            f"seed={seed} dnf={dnf} scenarios={scenarios}: "
+            f"kernel {kernel} != {scalar}"
+        )
 
 
 @pytest.mark.parametrize("seed,cases", GROUPS)
 def test_sweep_bounds_bit_identical(seed, cases):
-    """Batched bounds == scalar bounds on exact AND partial circuits."""
+    """Batched bounds == scalar bounds on exact AND partial circuits,
+    through the sweep and straight through the kernel."""
     for circuit, registry, dnf, rng, skip in compiled_cases(
         "kb", seed, cases
     ):
@@ -171,8 +198,38 @@ def test_sweep_bounds_bit_identical(seed, cases):
             f"seed={seed} dnf={dnf} scenarios={scenarios}: "
             f"{batched} != {scalar}"
         )
+        kernel = kernel_batch(circuit, scenarios, bounds=True)
+        assert kernel in (None, scalar), (
+            f"seed={seed} dnf={dnf} scenarios={scenarios}: "
+            f"kernel {kernel} != {scalar}"
+        )
         for lower, upper in batched:
             assert 0.0 <= lower <= upper <= 1.0
+
+
+def test_kernel_runs_from_the_crossover_up():
+    """Below KERNEL_MIN_ROWS the sweeps stay on the scalar loop and
+    never lower a kernel; from it up they lower one.  Both sides equal
+    the scalar answers bit for bit, values and bounds alike."""
+    for circuit, registry, dnf, rng, skip in compiled_cases("kx", 43, 4):
+        below = scenario_batch(registry, rng, KERNEL_MIN_ROWS - 1, skip=skip)
+        above = scenario_batch(registry, rng, KERNEL_MIN_ROWS, skip=skip)
+        circuit._kernel = None
+        assert sweep_values(circuit, below) == [
+            circuit.evaluate(s) for s in below
+        ]
+        assert sweep_bounds(circuit, below) == [
+            circuit.evaluate_bounds(s) for s in below
+        ]
+        assert circuit._kernel is None, f"dnf={dnf}: lowered below"
+        assert sweep_values(circuit, above) == [
+            circuit.evaluate(s) for s in above
+        ]
+        assert sweep_bounds(circuit, above) == [
+            circuit.evaluate_bounds(s) for s in above
+        ]
+        lowered = circuit._kernel is not None
+        assert lowered == (numpy_available() and len(circuit.kinds) > 0)
 
 
 @pytest.mark.parametrize("seed,cases", GROUPS)
@@ -210,12 +267,18 @@ def test_sweep_residual_widening_matches_scalar():
             continue
         touched = {variable_name(next(iter(residual_vids))): 0.5}
         scenarios = [None, touched, None]
-        assert sweep_bounds(circuit, scenarios) == [
-            circuit.evaluate_bounds(s) for s in scenarios
-        ]
+        scalar = [circuit.evaluate_bounds(s) for s in scenarios]
+        assert sweep_bounds(circuit, scenarios) == scalar
         assert sweep_bounds(circuit, [None]) == [
             sweep_bounds(circuit, scenarios)[0]
         ]
+        # The same batch straight through the kernel, and a batch big
+        # enough for the sweep to take the kernel itself.
+        assert kernel_batch(circuit, scenarios, bounds=True) in (
+            None, scalar
+        )
+        wide = scenarios * KERNEL_MIN_ROWS
+        assert sweep_bounds(circuit, wide) == scalar * KERNEL_MIN_ROWS
 
 
 def test_sweep_rejects_unknown_variable():

@@ -9,6 +9,7 @@ overload, deadline) must fail *structurally*, with stable error codes.
 """
 
 import asyncio
+import itertools
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ import sys
 import pytest
 
 import repro
+import repro.serving.engine as serving_engine
 from repro.circuits import (
     CircuitCache,
     circuit_kernel,
@@ -40,6 +42,8 @@ from repro.serving import (
     ServingEngine,
     ServingError,
     ServingStats,
+    dnf_from_json,
+    dnf_to_json,
     overrides_to_json,
 )
 
@@ -906,6 +910,137 @@ class TestResponseCache:
         assert "cached" not in repeat
         assert serving.stats.response_hits == 0
         assert len(serving.responses) == 0
+
+
+    def test_registry_write_invalidates(self, served):
+        """An in-place probability write changes answers without
+        touching the store file, so it must not replay old responses."""
+        client = served["client"]
+        before = run(client.evaluate(dnf(*L1), overrides={"x0": 0.5}))
+        served["registry"].set_boolean("x2", 0.9)
+        after = run(client.evaluate(dnf(*L1), overrides={"x0": 0.5}))
+        assert "cached" not in after
+        expected = served["cache"].get(dnf(*L1)).evaluate({"x0": 0.5})
+        assert after["value"] == expected != before["value"]
+
+
+# ----------------------------------------------------------------------
+# Lineage memo: each wire lineage is decoded and checked once
+# ----------------------------------------------------------------------
+def count_decodes(monkeypatch):
+    """Count calls of the engine module's ``dnf_from_json``."""
+    calls = []
+    decode = serving_engine.dnf_from_json
+
+    def counting(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(serving_engine, "dnf_from_json", counting)
+    return calls
+
+
+def wire(*clauses):
+    return dnf_to_json(dnf(*clauses))
+
+
+class TestLineageMemo:
+    def test_repeated_lineage_decodes_once(self, served, monkeypatch):
+        calls = count_decodes(monkeypatch)
+        client = served["wire"]
+        circuit = served["cache"].get(dnf(*L1))
+        for p in (0.1, 0.2, 0.3):
+            response = run(
+                client.request(
+                    {"op": "evaluate", "lineage": wire(*L1),
+                     "overrides": [["x0", p]]}
+                )
+            )
+            assert response["value"] == circuit.evaluate({"x0": p})
+        run(
+            client.request(
+                {"op": "top_k", "k": 2,
+                 "lineages": [wire(*L1), wire(*L2), wire(*L3)]}
+            )
+        )
+        assert len(calls) == 3  # L1 once, then L2 and L3 once each
+
+    def test_probability_write_clears_memo(self, served, monkeypatch):
+        calls = count_decodes(monkeypatch)
+        serving, registry = served["serving"], served["registry"]
+        requests = [
+            {"op": "evaluate", "lineage": wire(*L1),
+             "overrides": [["x0", 0.4]]},
+            {"op": "bounds", "lineage": wire(*L2)},
+            {"op": "what_if", "lineage": wire(*L3), "variable": "x5",
+             "probabilities": [0.0, 0.5, 1.0]},
+            {"op": "top_k", "k": 2,
+             "lineages": [wire(*L1), wire(*L2), wire(*L3)]},
+        ]
+
+        def answers(engine):
+            client = ASGIClient(ServingApp(engine))
+            return [run(client.request(dict(r))) for r in requests]
+
+        answers(serving)
+        assert len(calls) == 3 and len(serving._lineages) == 3
+        registry.set_boolean("x1", 0.61)
+        warm = answers(serving)
+        assert len(calls) == 6  # every lineage decoded again
+        fresh = answers(
+            ServingEngine(served["stores"], ConfidenceEngine(registry))
+        )
+        for response in warm:
+            assert "cached" not in response
+        assert warm == fresh
+
+    def test_unknown_variable_is_never_stored(self, served, monkeypatch):
+        calls = count_decodes(monkeypatch)
+        bad = [[["no_such_variable", True]], [["x0", True]]]
+        for attempt in range(3):
+            with pytest.raises(ServingError) as info:
+                run(
+                    served["wire"].request(
+                        {"op": "evaluate", "lineage": bad}
+                    )
+                )
+            assert info.value.code == "bad-request"
+            assert "no_such_variable" in info.value.message
+        assert len(calls) == 3
+        assert served["serving"]._lineages == {}
+
+    def test_memo_never_exceeds_its_cap(self, served, monkeypatch):
+        monkeypatch.setattr(serving_engine, "_LINEAGE_MEMO_ENTRIES", 3)
+        serving = served["serving"]
+        circuit = served["cache"].get(dnf(*L1))
+        client = served["wire"]
+        # Every clause order of L1 is a distinct JSON text for the same
+        # stored lineage.
+        spellings = list(itertools.permutations(wire(*L1)))
+        assert len(spellings) == 6
+        for spelling in spellings * 2:
+            response = run(
+                client.request(
+                    {"op": "evaluate", "lineage": list(spelling)}
+                )
+            )
+            assert response["value"] == circuit.evaluate()
+            assert response["strategy"] == "store"
+            assert 1 <= len(serving._lineages) <= 3
+
+    def test_tuple_spelling_decodes_like_its_list(self, served):
+        """The memo keys on JSON text, where a tuple and a list read the
+        same; the codec reads them the same too."""
+        serving = served["serving"]
+        as_list = wire(*L1)
+        as_tuple = tuple(
+            tuple(tuple(pair) for pair in clause) for clause in as_list
+        )
+        assert dnf_from_json(as_tuple) == dnf_from_json(as_list)
+        first = run(serving.handle({"op": "evaluate", "lineage": as_tuple}))
+        second = run(serving.handle({"op": "evaluate", "lineage": as_list}))
+        assert first["value"] == second["value"]
+        assert len(serving._lineages) == 1
 
 
 # ----------------------------------------------------------------------
