@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 Bounds = Tuple[float, float]
+#: A validated override map: ``atom id -> probability`` plus the touched
+#: variable ids (:meth:`Circuit._resolve_overrides`).
+Resolution = Tuple[Dict[int, float], FrozenSet[int]]
 
 #: Constant node — ``arg0`` indexes :attr:`Circuit.consts`.
 KIND_CONST = 0
@@ -302,7 +305,7 @@ class Circuit:
     # ------------------------------------------------------------------
     def _resolve_overrides(
         self, prob_overrides: Optional[ProbOverrides]
-    ) -> Tuple[Dict[int, float], FrozenSet[int]]:
+    ) -> Resolution:
         """``atom id -> probability`` map plus the touched variable ids.
 
         Accepts ``variable -> float`` (Boolean shorthand for
@@ -399,10 +402,8 @@ class Circuit:
                 "expected 1.0"
             )
 
-    def _input_values(
-        self, prob_overrides: Optional[ProbOverrides]
-    ) -> Tuple[Dict[int, float], FrozenSet[int]]:
-        resolved, touched = self._resolve_overrides(prob_overrides)
+    def _input_values(self, resolved: Dict[int, float]) -> Dict[int, float]:
+        """Every input atom's probability: ``resolved`` over the registry."""
         registry = self.registry
         values: Dict[int, float] = {}
         for atom_id in self.atom_nodes:
@@ -410,7 +411,7 @@ class Circuit:
             if prob is None:
                 prob = registry.atom_probability(atom_id)
             values[atom_id] = prob
-        return values, touched
+        return values
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -531,12 +532,7 @@ class Circuit:
         return the midpoint of :meth:`evaluate_bounds` (use that method
         when the certified interval matters).
         """
-        if self.is_exact:
-            atom_values, _touched = self._input_values(prob_overrides)
-            values = self._forward(atom_values)
-            return values[-1] if values else 0.0
-        lower, upper = self.evaluate_bounds(prob_overrides)
-        return (lower + upper) / 2.0
+        return self._value(self._resolve_overrides(prob_overrides))
 
     def evaluate_bounds(
         self, prob_overrides: Optional[ProbOverrides] = None
@@ -547,7 +543,20 @@ class Circuit:
         residual-leaf bounds where the overrides leave them valid and
         widen the rest to ``[0, 1]``.
         """
-        atom_values, touched = self._input_values(prob_overrides)
+        return self._bounds(self._resolve_overrides(prob_overrides))
+
+    def _value(self, resolution: Resolution) -> float:
+        """:meth:`evaluate` for overrides resolved already."""
+        if self.is_exact:
+            values = self._forward(self._input_values(resolution[0]))
+            return values[-1] if values else 0.0
+        lower, upper = self._bounds(resolution)
+        return (lower + upper) / 2.0
+
+    def _bounds(self, resolution: Resolution) -> Bounds:
+        """:meth:`evaluate_bounds` for overrides resolved already."""
+        resolved, touched = resolution
+        atom_values = self._input_values(resolved)
         if self.is_exact:
             values = self._forward(atom_values)
             value = values[-1] if values else 0.0
@@ -611,8 +620,8 @@ class Circuit:
     def _atom_adjoints(
         self, prob_overrides: Optional[ProbOverrides]
     ) -> Dict[int, float]:
-        atom_values, touched = self._input_values(prob_overrides)
-        values = self._forward(atom_values, touched)
+        resolved, touched = self._resolve_overrides(prob_overrides)
+        values = self._forward(self._input_values(resolved), touched)
         size = len(self.kinds)
         if not size:
             return {}

@@ -52,7 +52,7 @@ from typing import (
 )
 
 from ..core.variables import atom_entry, variable_name
-from .circuit import Bounds, Circuit, ProbOverrides
+from .circuit import Bounds, Circuit, ProbOverrides, Resolution
 from .kernels import (
     BACKEND_NUMPY,
     CircuitKernel,
@@ -96,21 +96,28 @@ def what_if_scenarios(
     return [{variable: float(prob)} for prob in probabilities]
 
 
+def _resolve(circuit: Circuit, scenarios: Scenarios) -> List[Resolution]:
+    """Each scenario through the circuit's own override resolution, so
+    the sweep validates and widens exactly like the scalar entry points.
+    """
+    return [circuit._resolve_overrides(overrides) for overrides in scenarios]
+
+
+def _split(
+    resolutions: Sequence[Resolution],
+) -> Tuple[List[Dict[int, float]], List[FrozenSet[int]]]:
+    """Resolved atom overrides and touched variable sets, as two lists."""
+    return (
+        [resolved for resolved, _touched in resolutions],
+        [touched for _resolved, touched in resolutions],
+    )
+
+
 def _resolved_inputs(
     circuit: Circuit, scenarios: Scenarios
 ) -> Tuple[List[Dict[int, float]], List[FrozenSet[int]]]:
-    """Per-scenario resolved atom overrides + touched variable sets.
-
-    Runs the circuit's own override resolution so the sweep validates
-    and widens exactly like the scalar entry points.
-    """
-    resolved_list: List[Dict[int, float]] = []
-    touched_list: List[FrozenSet[int]] = []
-    for overrides in scenarios:
-        resolved, touched = circuit._resolve_overrides(overrides)
-        resolved_list.append(resolved)
-        touched_list.append(touched)
-    return resolved_list, touched_list
+    """Per-scenario resolved atom overrides + touched variable sets."""
+    return _split(_resolve(circuit, scenarios))
 
 
 def _scenario_matrix(
@@ -132,17 +139,24 @@ def _use_kernel(circuit: Circuit) -> bool:
 def sweep_values(
     circuit: Circuit,
     scenarios: Scenarios,
+    *,
+    resolved: Optional[Sequence[Resolution]] = None,
 ) -> List[float]:
     """``P(Φ)`` per scenario (interval midpoints on partial circuits).
 
     Bit-identical to ``[circuit.evaluate(s) for s in scenarios]``; from
     :data:`KERNEL_MIN_ROWS` scenarios up the numpy backend pays one
-    batched sweep instead of one Python sweep per scenario.
+    batched sweep instead of one Python sweep per scenario.  A caller
+    that validated the scenarios already passes their
+    ``circuit._resolve_overrides`` results as ``resolved`` (one per
+    scenario), so no scenario is resolved twice.
     """
-    if len(scenarios) < KERNEL_MIN_ROWS or not _use_kernel(circuit):
-        return [circuit.evaluate(overrides) for overrides in scenarios]
+    if resolved is None:
+        resolved = _resolve(circuit, scenarios)
+    if len(resolved) < KERNEL_MIN_ROWS or not _use_kernel(circuit):
+        return [circuit._value(resolution) for resolution in resolved]
     kernel = circuit_kernel(circuit)
-    resolved_list, touched_list = _resolved_inputs(circuit, scenarios)
+    resolved_list, touched_list = _split(resolved)
     matrix = _scenario_matrix(kernel, resolved_list)
     return kernel.evaluate_batch(matrix, touched_list).tolist()
 
@@ -150,18 +164,21 @@ def sweep_values(
 def sweep_bounds(
     circuit: Circuit,
     scenarios: Scenarios,
+    *,
+    resolved: Optional[Sequence[Resolution]] = None,
 ) -> List[Bounds]:
     """Certified ``[lower, upper]`` per scenario (points when exact).
 
     Bit-identical to per-scenario :meth:`Circuit.evaluate_bounds`; the
     kernel takes over from :data:`KERNEL_MIN_ROWS` scenarios up.
+    ``resolved`` is as for :func:`sweep_values`.
     """
-    if len(scenarios) < KERNEL_MIN_ROWS or not _use_kernel(circuit):
-        return [
-            circuit.evaluate_bounds(overrides) for overrides in scenarios
-        ]
+    if resolved is None:
+        resolved = _resolve(circuit, scenarios)
+    if len(resolved) < KERNEL_MIN_ROWS or not _use_kernel(circuit):
+        return [circuit._bounds(resolution) for resolution in resolved]
     kernel = circuit_kernel(circuit)
-    resolved_list, touched_list = _resolved_inputs(circuit, scenarios)
+    resolved_list, touched_list = _split(resolved)
     matrix = _scenario_matrix(kernel, resolved_list)
     bounds = kernel.bounds_batch(matrix, touched_list)
     return [tuple(row) for row in bounds.tolist()]

@@ -9,12 +9,25 @@ probability problem.
 The AST is deliberately small: :class:`AtomNode`, :class:`AndNode`,
 :class:`OrNode` plus the constants.  ``to_dnf`` distributes conjunctions
 over disjunctions (worst-case exponential, as unavoidable), dropping
-inconsistent clauses.
+inconsistent clauses.  The common shapes stay linear: a disjunction
+gathers its children's clauses into one :class:`~repro.core.dnf.DNF`, and
+a conjunction of atoms and ``⊤`` is one clause (see :func:`atom_clause`);
+only composite conjuncts are distributed with
+:meth:`~repro.core.dnf.DNF.conjoin`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .dnf import DNF
 from .events import Atom, Clause
@@ -32,6 +45,7 @@ __all__ = [
     "atom",
     "conj",
     "disj",
+    "atom_clause",
 ]
 
 
@@ -168,8 +182,11 @@ class AndNode(_NaryNode):
     __slots__ = ()
 
     def to_dnf(self) -> DNF:
-        result = DNF.true()
-        for child in self.children:
+        clause, composite = atom_clause(self.children)
+        if clause is None:
+            return DNF.false()
+        result = DNF((clause,))
+        for child in composite:
             result = result.conjoin(child.to_dnf())
             if result.is_false():
                 return result
@@ -188,10 +205,10 @@ class OrNode(_NaryNode):
     __slots__ = ()
 
     def to_dnf(self) -> DNF:
-        result = DNF.false()
+        clauses: List[Clause] = []
         for child in self.children:
-            result = result.union(child.to_dnf())
-        return result
+            clauses.extend(child.to_dnf().clauses)
+        return DNF(clauses)
 
     def evaluate(self, world: Mapping[Hashable, Hashable]) -> bool:
         return any(child.evaluate(world) for child in self.children)
@@ -244,3 +261,30 @@ def disj(*formulas: Formula) -> Formula:
     if len(flat) == 1:
         return flat[0]
     return OrNode(flat)
+
+
+def atom_clause(
+    formulas: Iterable[Formula],
+) -> Tuple[Optional[Clause], List[Formula]]:
+    """Split a conjunction into the clause of its atoms and the rest.
+
+    Returns ``(clause, composite)``: ``clause`` conjoins every
+    :class:`AtomNode` among ``formulas`` (``None`` when two of them bind
+    one variable to different values, so the conjunction is
+    unsatisfiable); ``composite`` lists, in order, the formulas that are
+    neither atoms nor ``⊤``.  An empty clause with no composites means
+    every formula was ``⊤``.
+    """
+    byvar: Dict[int, Tuple[int, Hashable]] = {}
+    composite: List[Formula] = []
+    for formula in formulas:
+        if isinstance(formula, AtomNode):
+            atom_ = formula.atom
+            bound = byvar.get(atom_.var_id)
+            if bound is None:
+                byvar[atom_.var_id] = (atom_.atom_id, atom_.value)
+            elif bound[0] != atom_.atom_id:
+                return None, composite
+        elif not isinstance(formula, TrueNode):
+            composite.append(formula)
+    return Clause._from_byvar(byvar), composite

@@ -17,9 +17,15 @@ joins) are checked in the join loop, as soon as both sides are bound.
 
 Lineage is built only when read.  A partial result carries its bound
 values and the tuple of row lineages along its join path; an answer
-keeps its derivations, and :attr:`QueryAnswer.lineage` conjoins each one
-and disjoins across them on first access.  Callers that only want the
-answer tuples (SPROUT, ``QueryResult.answers()``) never pay for it.
+keeps these derivations.  :attr:`QueryAnswer.dnf` turns them straight
+into the lineage DNF on first access (:func:`lineage_dnf`): one clause
+per derivation, collected from the rows' atoms, with no formula tree in
+between.  Only a derivation through a row whose own lineage is composite
+(a c-table row such as ``x ∨ y``) is distributed via
+:meth:`~repro.core.formulas.Formula.to_dnf`.  :attr:`QueryAnswer.lineage`
+is the same event as a lazily built ``∨`` of ``∧`` formula.  Callers
+that only want the answer tuples (SPROUT, ``QueryResult.answers()``)
+never pay for either.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from typing import (
 )
 
 from ..core.dnf import DNF
-from ..core.formulas import Formula, conj, disj
+from ..core.events import Clause
+from ..core.formulas import Formula, TrueNode, atom_clause, conj, disj
 from ..core.orders import VariableSelector, make_variable_selector
 from .cq import COMPARATORS, Const, ConjunctiveQuery, Inequality, SubGoal, Var
 from .database import Database
@@ -45,6 +52,7 @@ from .relation import Relation
 __all__ = [
     "evaluate",
     "evaluate_to_dnf",
+    "lineage_dnf",
     "answer_selector",
     "scan",
     "local_selections",
@@ -60,10 +68,13 @@ class QueryAnswer:
     """One answer tuple with its (lazily built) lineage.
 
     ``derivations`` holds one tuple of row lineages per join path that
-    produced the answer; :attr:`lineage` is their ``∨`` of ``∧``.
+    produced the answer.  :attr:`dnf` is the lineage DNF the confidence
+    paths read, built straight from the derivations; :attr:`lineage` is
+    the same event as a formula, their ``∨`` of ``∧``.  Each is built on
+    first access and cached.
     """
 
-    __slots__ = ("values", "derivations", "_lineage")
+    __slots__ = ("values", "derivations", "_lineage", "_dnf")
 
     def __init__(
         self, values: Values, derivations: Sequence[Derivation]
@@ -71,6 +82,7 @@ class QueryAnswer:
         self.values = values
         self.derivations = derivations
         self._lineage: Optional[Formula] = None
+        self._dnf: Optional[DNF] = None
 
     @property
     def lineage(self) -> Formula:
@@ -80,8 +92,41 @@ class QueryAnswer:
             )
         return self._lineage
 
+    @property
+    def dnf(self) -> DNF:
+        if self._dnf is None:
+            self._dnf = lineage_dnf(self.derivations)
+        return self._dnf
+
     def __repr__(self) -> str:
         return f"QueryAnswer({self.values!r})"
+
+
+def lineage_dnf(derivations: Sequence[Derivation]) -> DNF:
+    """The DNF of ``∨`` over ``derivations`` of ``∧`` over row lineages.
+
+    Each derivation of atoms and ``⊤`` rows is one clause; one that binds
+    a variable to two values (two alternatives of a BID block) is
+    dropped, and one of ``⊤`` rows alone makes the answer certain.  A
+    derivation through a composite row lineage falls back to
+    ``conj(...).to_dnf()``.  The clause set equals
+    ``QueryAnswer.lineage.to_dnf()``'s.
+    """
+    clauses: List[Clause] = []
+    for derivation in derivations:
+        clause, composite = atom_clause(derivation)
+        if clause is None:
+            continue
+        if composite:
+            formula = conj(*derivation)
+            if isinstance(formula, TrueNode):
+                return DNF.true()
+            clauses.extend(formula.to_dnf().clauses)
+        elif clause.is_empty():
+            return DNF.true()
+        else:
+            clauses.append(clause)
+    return DNF(clauses)
 
 
 def values_at(positions: Sequence[int]) -> Callable[[Sequence], Values]:
@@ -238,11 +283,8 @@ def evaluate(query: ConjunctiveQuery, database: Database) -> List[QueryAnswer]:
 def evaluate_to_dnf(
     query: ConjunctiveQuery, database: Database
 ) -> List[Tuple[Tuple[Hashable, ...], DNF]]:
-    """Answers as ``(tuple, lineage DNF)`` pairs."""
-    return [
-        (answer.values, answer.lineage.to_dnf())
-        for answer in evaluate(query, database)
-    ]
+    """Answers as ``(tuple, lineage DNF)`` pairs (see :func:`lineage_dnf`)."""
+    return [(answer.values, answer.dnf) for answer in evaluate(query, database)]
 
 
 def answer_selector(database: Database) -> VariableSelector:

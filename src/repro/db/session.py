@@ -179,7 +179,7 @@ class QueryResult:
 
     # -- lazy materialisation --------------------------------------------
     def _evaluate(self) -> List[QueryAnswer]:
-        """Run the query once, caching answers with formula lineage."""
+        """Run the query once, caching answers with their derivations."""
         if self._evaluated is None:
             if self.query is None or self.database is None:
                 raise ValueError(
@@ -190,20 +190,24 @@ class QueryResult:
         return self._evaluated
 
     def lineage(self) -> List[LineageAnswer]:
-        """``(answer_values, lineage_dnf)`` pairs (evaluated on demand)."""
+        """``(answer_values, lineage_dnf)`` pairs (evaluated on demand).
+
+        Each DNF is built straight from the answer's join derivations
+        (:attr:`repro.db.engine.QueryAnswer.dnf`), without a formula
+        tree.
+        """
         if self._lineage is None:
             self._lineage = [
-                (answer.values, answer.lineage.to_dnf())
-                for answer in self._evaluate()
+                (answer.values, answer.dnf) for answer in self._evaluate()
             ]
         return self._lineage
 
     def answers(self) -> List[AnswerValues]:
         """Distinct answer tuples, without any confidence computation.
 
-        Stays at the formula level: unlike :meth:`lineage`, no DNF
-        conversion (potentially expensive for disjunctive lineage) is
-        paid just to read the tuples.
+        Reads the join's answers only: unlike :meth:`lineage`, no DNF
+        (potentially expensive for disjunctive lineage) is built just to
+        read the tuples.
         """
         if self._lineage is not None:
             return [values for values, _dnf in self._lineage]

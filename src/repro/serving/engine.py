@@ -33,7 +33,9 @@ while it is the only request that has been running since the buckets
 last drained, every pending bucket flushes on the next event-loop
 iteration instead (``ServingStats.idle_flushes``).  Sweep results are
 bit-identical to the scalar path by the sweep module's own contract,
-so batching is a latency decision, never a semantics one.
+so batching is a latency decision, never a semantics one.  Each row's
+overrides are resolved once, on submit: a bad row fails its own
+request there, and the sweep reuses the resolution.
 
 Wire lineages are decoded and checked against the registry once: the
 engine memoises each lineage's DNF by its JSON text until a registry
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..circuits.cache import CircuitCache
-from ..circuits.circuit import Circuit
+from ..circuits.circuit import Circuit, Resolution
 from ..circuits.sweep import (
     refine_sweep_bounds,
     sweep_bounds,
@@ -176,12 +178,17 @@ class ServingConfig:
 class _Bucket:
     """One pending micro-batch: same circuit, same result kind."""
 
-    __slots__ = ("circuit", "kind", "overrides", "futures", "handle")
+    __slots__ = (
+        "circuit", "kind", "overrides", "resolved", "futures", "handle"
+    )
 
     def __init__(self, circuit: Circuit, kind: str) -> None:
         self.circuit = circuit
         self.kind = kind
         self.overrides: List[Optional[Dict[Any, Any]]] = []
+        #: Each row's ``circuit._resolve_overrides`` result, from the
+        #: validation in :meth:`_MicroBatcher.submit`.
+        self.resolved: List[Resolution] = []
         self.futures: List["asyncio.Future[Any]"] = []
         self.handle: Optional[asyncio.TimerHandle] = None
 
@@ -247,9 +254,10 @@ class _MicroBatcher:
         kind: str,
     ) -> "asyncio.Future[Any]":
         # Validate per row *before* enqueueing so a bad scenario fails
-        # its own request, never the whole batch it would share.
+        # its own request, never the whole batch it would share.  The
+        # sweep reuses the resolution.
         try:
-            circuit._resolve_overrides(overrides)
+            resolved = circuit._resolve_overrides(overrides)
         except Exception as exc:
             raise ServingError(
                 "bad-request", f"invalid overrides: {exc}"
@@ -264,6 +272,7 @@ class _MicroBatcher:
             )
         future: "asyncio.Future[Any]" = self.loop.create_future()
         bucket.overrides.append(overrides)
+        bucket.resolved.append(resolved)
         bucket.futures.append(future)
         if len(bucket.futures) >= self.max_batch:
             self._flush(key)
@@ -282,10 +291,16 @@ class _MicroBatcher:
             if bucket.kind == "bounds":
                 results: List[Any] = [
                     list(pair)
-                    for pair in sweep_bounds(bucket.circuit, bucket.overrides)
+                    for pair in sweep_bounds(
+                        bucket.circuit,
+                        bucket.overrides,
+                        resolved=bucket.resolved,
+                    )
                 ]
             else:
-                results = sweep_values(bucket.circuit, bucket.overrides)
+                results = sweep_values(
+                    bucket.circuit, bucket.overrides, resolved=bucket.resolved
+                )
         except Exception as exc:  # pragma: no cover - defensive
             error = ServingError(
                 "internal", f"batched sweep failed: {exc}"

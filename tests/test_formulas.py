@@ -1,6 +1,8 @@
 """Unit tests for the lineage formula AST (repro.core.formulas)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dnf import DNF
 from repro.core.formulas import (
@@ -10,6 +12,7 @@ from repro.core.formulas import (
     AtomNode,
     OrNode,
     atom,
+    atom_clause,
     conj,
     disj,
 )
@@ -141,3 +144,74 @@ class TestEqualityHash:
         node = atom("x")
         with pytest.raises(AttributeError):
             node.atom = None
+
+
+def fold_to_dnf(formula):
+    """The pairwise fold ``to_dnf`` used before it went linear: an
+    ``∧`` conjoins one child at a time (stopping at ``⊥``), an ``∨``
+    unions one child at a time."""
+    if isinstance(formula, AndNode):
+        result = DNF.true()
+        for child in formula.children:
+            result = result.conjoin(fold_to_dnf(child))
+            if result.is_false():
+                return result
+        return result
+    if isinstance(formula, OrNode):
+        result = DNF.false()
+        for child in formula.children:
+            result = result.union(fold_to_dnf(child))
+        return result
+    return formula.to_dnf()
+
+
+# Boolean atoms plus the three alternatives of two BID-style variables:
+# ``b0 = 0 ∧ b0 = 1`` is an inconsistent product.
+_leaves = st.one_of(
+    st.sampled_from(["x", "y", "z"]).map(atom),
+    st.builds(
+        atom, st.sampled_from(["b0", "b1"]), st.integers(0, 2)
+    ),
+    st.sampled_from([TRUE, FALSE]),
+)
+
+
+def _nary(children):
+    # Raw node constructors, not conj/disj: keeps ⊤/⊥ children, empty
+    # and one-child nodes, and unflattened nesting.
+    parts = st.lists(children, max_size=4)
+    return st.one_of(parts.map(AndNode), parts.map(OrNode))
+
+
+formulas = st.recursive(_leaves, _nary, max_leaves=14)
+
+
+class TestLinearToDnf:
+    @given(formulas)
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_pairwise_fold(self, formula):
+        expected = fold_to_dnf(formula)
+        got = formula.to_dnf()
+        assert got == expected
+        assert got.sorted_clauses() == expected.sorted_clauses()
+
+    def test_atom_clause_splits_atoms_from_composites(self):
+        nested = disj(atom("x"), atom("y"))
+        clause, composite = atom_clause(
+            [atom("z"), TRUE, nested, atom("z")]
+        )
+        assert clause == DNF.of_atoms(atom("z").atom).sole_clause()
+        assert composite == [nested]
+
+    def test_atom_clause_conflict_and_all_true(self):
+        clause, _composite = atom_clause([atom("b0", 0), atom("b0", 1)])
+        assert clause is None
+        clause, composite = atom_clause([TRUE, TRUE])
+        assert clause.is_empty() and composite == []
+
+    def test_and_of_bid_alternatives_is_false(self):
+        assert AndNode([atom("b0", 0), atom("b0", 1)]).to_dnf().is_false()

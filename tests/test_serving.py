@@ -28,6 +28,8 @@ from repro.circuits import (
     sweep_bounds,
     sweep_values,
 )
+from repro.circuits.circuit import Circuit
+from repro.circuits.sweep import KERNEL_MIN_ROWS
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.variables import VariableRegistry
@@ -385,6 +387,84 @@ class TestBatching:
         assert response["value"] == circuit.evaluate({"x0": 0.7})
 
 
+class TestResolveOnce:
+    """A batched row's overrides are resolved once: on submit, where a
+    bad row fails its own request; the sweep reuses the resolution."""
+
+    @pytest.fixture
+    def resolutions(self, monkeypatch):
+        calls = []
+        original = Circuit._resolve_overrides
+
+        def counting(circuit, overrides):
+            calls.append(overrides)
+            return original(circuit, overrides)
+
+        monkeypatch.setattr(Circuit, "_resolve_overrides", counting)
+        return calls
+
+    @pytest.mark.parametrize("rows", [3, KERNEL_MIN_ROWS + 2])
+    def test_one_resolution_per_row(self, served, resolutions, rows):
+        client = served["client"]
+        l1, l3 = dnf(*L1), dnf(*L3)
+        circuit1 = served["cache"].get(l1)
+        circuit3 = served["cache"].get(l3)
+        probabilities = [(i + 1) / (rows + 2) for i in range(rows)]
+        scenarios = [{"x0": p, "x9": 1.0 - p} for p in probabilities]
+        expected = {
+            "evaluate": [circuit1.evaluate({"x0": p}) for p in probabilities],
+            "what_if": [circuit1.evaluate({"x2": p}) for p in probabilities],
+            "values": [circuit3.evaluate(s) for s in scenarios],
+            "bounds": [circuit3.evaluate_bounds(s) for s in scenarios],
+            "top_k": sorted(
+                (served["cache"].get(lineage).evaluate({"x5": 0.3}), label)
+                for label, lineage in zip("abc", served["lineages"])
+            ),
+        }
+
+        async def burst():
+            return await asyncio.gather(
+                *[
+                    client.evaluate(l1, overrides={"x0": p})
+                    for p in probabilities
+                ]
+            )
+
+        del resolutions[:]
+        responses = run(burst())
+        assert len(resolutions) == rows
+        assert [r["value"] for r in responses] == expected["evaluate"]
+
+        del resolutions[:]
+        response = run(client.what_if(l1, "x2", probabilities))
+        assert len(resolutions) == rows
+        assert response["values"] == expected["what_if"]
+
+        del resolutions[:]
+        response = run(client.sweep(l3, scenarios))
+        assert len(resolutions) == rows
+        assert response["results"] == expected["values"]
+
+        del resolutions[:]
+        response = run(client.sweep(l3, scenarios, kind="bounds"))
+        assert len(resolutions) == rows
+        assert [tuple(pair) for pair in response["results"]] == (
+            expected["bounds"]
+        )
+
+        del resolutions[:]
+        response = run(
+            client.top_k(
+                served["lineages"], 3, answers=["a", "b", "c"],
+                overrides={"x5": 0.3},
+            )
+        )
+        assert len(resolutions) == len(served["lineages"])
+        assert sorted(
+            (value, label) for label, value in response["answers"]
+        ) == expected["top_k"]
+
+
 # ----------------------------------------------------------------------
 # Idle-aware flush
 # ----------------------------------------------------------------------
@@ -729,6 +809,8 @@ class TestRefineSweepBounds:
 _COMPILER_SCRIPT = """
 import json, sys
 from repro.circuits import CircuitCache
+from repro.circuits.circuit import Circuit
+from repro.circuits.sweep import KERNEL_MIN_ROWS
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.variables import VariableRegistry
