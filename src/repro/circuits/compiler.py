@@ -5,13 +5,14 @@ subsumption removal, ``⊗`` partitioning, ``⊙`` factorization, Shannon
 expansion — and records it as a flat :class:`~repro.circuits.Circuit`
 instead of folding probabilities on the fly.  Two properties matter:
 
-* **Trace sharing.**  Given the engine's
-  :class:`~repro.core.memo.DecompositionCache`, every decomposition
-  step is looked up in the same memo the exact/ε-approximation paths
-  populate, so compiling right after a confidence run replays the
-  recorded trace instead of re-searching for decompositions.  Repeated
-  sub-DNFs (ubiquitous under Shannon expansion) become *shared
-  subcircuits* — the circuit is a DAG, the d-DNNF view of the d-tree.
+* **Trace sharing.**  Every decomposition step is the memoised step of
+  :class:`~repro.core.memo.DecompositionCache` — the same one the
+  ε-approximation takes — so compiling on the engine's cache right
+  after a confidence run replays the recorded trace instead of
+  re-searching for decompositions.  This module keeps only what is its
+  own: repeated sub-DNFs (ubiquitous under Shannon expansion) become
+  *shared subcircuits* — the circuit is a DAG, the d-DNNF view of the
+  d-tree — and ``max_nodes`` cuts leave residual leaves.
 
 * **Bit-compatible arithmetic.**  Node emission order and per-node
   arithmetic mirror :func:`repro.core.compiler.compile_dnf` /
@@ -32,17 +33,11 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from array import array
 
-from ..core.bounds import independent_bounds
 from ..core.compiler import raised_recursion_limit
-from ..core.decompositions import (
-    independent_and_factorization,
-    independent_or_partition,
-    shannon_expansion,
-)
 from ..core.dnf import DNF
 from ..core.events import Clause
-from ..core.memo import DecompositionCache
-from ..core.orders import VariableSelector, max_frequency_choice
+from ..core.memo import EXCLUSIVE_OR, INDEPENDENT_OR, DecompositionCache
+from ..core.orders import VariableSelector
 from ..core.variables import VariableRegistry, atom_entry
 from .circuit import (
     KIND_ATOM,
@@ -66,9 +61,11 @@ class CircuitCompilationStats:
 
     ``cold_steps`` counts decomposition searches (⊗ partitioning, ⊙
     factorization, Shannon expansion) the compile had to run afresh
-    because the shared cache held no entry; a pure replay — compiling
-    right after a confidence run, or after a worker's cache slice was
-    merged in — reports ``cold_steps == 0``.
+    because the shared cache held no entry — the compile's miss delta
+    on :meth:`DecompositionCache.stats
+    <repro.core.memo.DecompositionCache.stats>`; a pure replay —
+    compiling right after a confidence run, or after a worker's cache
+    slice was merged in — reports ``cold_steps == 0``.
     """
 
     __slots__ = (
@@ -198,34 +195,16 @@ def compile_circuit(
         engine's values so bounds (and the cache binding) agree with
         the confidence paths.
     """
-    selector = choose_variable or max_frequency_choice
     if cache is None:
         cache = DecompositionCache()
-    cache.bind(
-        DecompositionCache.bind_config(
-            registry, selector, sort_buckets, read_once_buckets
-        )
-    )
+    cache.bind(registry, choose_variable, sort_buckets, read_once_buckets)
     cache.trim()
     if stats is None:
         stats = CircuitCompilationStats()
+    misses_before = cache.stats()["misses"]
     builder = _Builder(stats)
     #: reduced DNF -> node index (subcircuit sharing).
     memo: Dict[DNF, int] = {}
-
-    bounds_cache = cache.bounds
-
-    def leaf_bounds(leaf: DNF) -> Tuple[float, float]:
-        bounds = bounds_cache.get(leaf)
-        if bounds is None:
-            bounds = independent_bounds(
-                leaf,
-                registry,
-                sort_by_probability=sort_buckets,
-                allow_read_once_buckets=read_once_buckets,
-            )
-            bounds_cache[leaf] = bounds
-        return bounds
 
     def clause_node(clause) -> int:
         atom_ids = clause.atom_ids
@@ -240,13 +219,7 @@ def compile_circuit(
         return builder.inner(KIND_PROD, children)
 
     def build(dnf_in: DNF, reduced: bool) -> int:
-        if reduced:
-            current = dnf_in
-        else:
-            current = cache.reduced.get(dnf_in)
-            if current is None:
-                current = dnf_in.remove_subsumed()
-                cache.reduced[dnf_in] = current
+        current = dnf_in if reduced else cache.reduce(dnf_in)
         if current.is_false():
             return builder.const(0.0)
         if current.is_true():
@@ -261,53 +234,23 @@ def compile_circuit(
 
         if max_nodes is not None and stats.nodes >= max_nodes:
             node = builder.residual(
-                leaf_bounds(current), current.variable_ids, current
+                cache.leaf_bounds(current), current.variable_ids, current
             )
             memo[current] = node
             return node
 
-        components = cache.components.get(current)
-        if components is None:
-            cache.misses += 1
-            stats.cold_steps += 1
-            components = independent_or_partition(current)
-            cache.components[current] = components
-        else:
-            cache.hits += 1
-        if len(components) > 1:
-            children = [
-                build(component, True) for component in components
-            ]
-            node = builder.inner(KIND_OR, children)
+        kind, parts = cache.decompose(current)
+        if kind != EXCLUSIVE_OR:
+            children = [build(part, True) for part in parts]
+            node = builder.inner(
+                KIND_OR if kind == INDEPENDENT_OR else KIND_PROD, children
+            )
             memo[current] = node
             return node
 
-        if current in cache.factors:
-            cache.hits += 1
-            factors = cache.factors[current]
-        else:
-            cache.misses += 1
-            stats.cold_steps += 1
-            factors = independent_and_factorization(current)
-            cache.factors[current] = factors
-        if factors is not None:
-            children = [build(factor, True) for factor in factors]
-            node = builder.inner(KIND_PROD, children)
-            memo[current] = node
-            return node
-
-        branches = cache.branches.get(current)
-        if branches is None:
-            cache.misses += 1
-            stats.cold_steps += 1
-            pivot = selector(current)
-            branches = shannon_expansion(current, pivot, registry)
-            cache.branches[current] = branches
-        else:
-            cache.hits += 1
         stats.shannon_expansions += 1
         children = []
-        for branch in branches:
+        for branch in parts:
             atom_node = clause_node(
                 Clause({branch.variable: branch.value})
             )
@@ -331,6 +274,7 @@ def compile_circuit(
         dnf.size() + len(dnf.variable_ids) + 100
     ):
         root = build(dnf, False)
+    stats.cold_steps += cache.stats()["misses"] - misses_before
     # The root must be the last node for the linear sweeps; shared
     # subcircuit roots can predate later nodes, so alias when needed.
     if root != len(builder.kinds) - 1:

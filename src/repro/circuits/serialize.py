@@ -20,7 +20,9 @@ Two layers:
   :func:`merge_cache_slice` do the same for the cone of
   :class:`~repro.core.memo.DecompositionCache` entries a compilation
   walked, which is how sharded workers ship their warm decompositions
-  back to the coordinator (:mod:`repro.engine_parallel`).
+  back to the coordinator (:mod:`repro.engine_parallel`).  The cache
+  itself cuts the cone (:meth:`~repro.core.memo.DecompositionCache.cone`)
+  and merges it; this module only encodes and decodes the bytes.
 * **Stores** — :func:`save_circuit_store` / :func:`load_circuit_store`
   wrap a sequence of keyed records in a versioned header (magic, format
   version, intern-table digest for provenance, payload digest for
@@ -88,7 +90,7 @@ from array import array
 from ..core.decompositions import ShannonBranch
 from ..core.dnf import DNF
 from ..core.events import Clause
-from ..core.memo import DecompositionCache
+from ..core.memo import DecompositionCache, Sections
 from ..core.variables import (
     VariableRegistry,
     atom_entry,
@@ -621,75 +623,6 @@ def decode_circuit(
 # ----------------------------------------------------------------------
 # Decomposition-cache slices
 # ----------------------------------------------------------------------
-def _cone_entries(
-    cache: DecompositionCache, roots: Iterable[DNF]
-) -> Tuple[
-    Dict[DNF, DNF],
-    Dict[DNF, List[DNF]],
-    Dict[DNF, Optional[List[DNF]]],
-    Dict[DNF, List[ShannonBranch]],
-    Dict[DNF, Tuple[float, float]],
-    Dict[DNF, float],
-]:
-    """The cache entries a compile of the ``roots`` walks (best-effort).
-
-    Mirrors the traversal of
-    :func:`repro.circuits.compiler.compile_circuit`: reduction, then ⊗
-    components, then ⊙ factors, then Shannon branches.  Roots with
-    overlapping cones (the whole point of the shared cache) contribute
-    their shared entries **once**.  Entries absent from the cache
-    (evicted, or past a residual cut) are simply not in the slice — a
-    partial slice still warms everything it covers.
-    """
-    reduced: Dict[DNF, DNF] = {}
-    components: Dict[DNF, List[DNF]] = {}
-    factors: Dict[DNF, Optional[List[DNF]]] = {}
-    branches: Dict[DNF, List[ShannonBranch]] = {}
-    bounds: Dict[DNF, Tuple[float, float]] = {}
-    exact: Dict[DNF, float] = {}
-    seen: set = set()
-    stack: List[DNF] = list(roots)
-    while stack:
-        dnf = stack.pop()
-        current = cache.reduced.get(dnf)
-        if current is not None:
-            reduced[dnf] = current
-        else:
-            current = dnf
-        if current in seen:
-            continue
-        seen.add(current)
-        if current in cache.bounds:
-            bounds[current] = cache.bounds[current]
-        if current in cache.exact:
-            exact[current] = cache.exact[current]
-        if (
-            current.is_false()
-            or current.is_true()
-            or current.is_single_clause()
-        ):
-            continue
-        current_components = cache.components.get(current)
-        if current_components is not None:
-            components[current] = current_components
-            if len(current_components) > 1:
-                stack.extend(current_components)
-                continue
-        if current in cache.factors:
-            current_factors = cache.factors[current]
-            factors[current] = current_factors
-            if current_factors is not None:
-                stack.extend(current_factors)
-                continue
-        current_branches = cache.branches.get(current)
-        if current_branches is not None:
-            branches[current] = current_branches
-            stack.extend(
-                branch.cofactor for branch in current_branches
-            )
-    return reduced, components, factors, branches, bounds, exact
-
-
 def encode_cache_slice(
     cache: DecompositionCache, *roots: DNF
 ) -> bytes:
@@ -702,8 +635,8 @@ def encode_cache_slice(
     refinement of the same (or overlapping) lineage replays the
     worker's decompositions instead of re-searching them.
     """
-    reduced, components, factors, branches, bounds, exact = (
-        _cone_entries(cache, roots)
+    reduced, components, factors, branches, bounds, exact = cache.cone(
+        roots
     )
     writer = _Writer()
     table = _NameTable()
@@ -756,14 +689,7 @@ def encode_cache_slice(
     return writer.getvalue()
 
 
-def decode_cache_slice(data: bytes) -> Tuple[
-    Dict[DNF, DNF],
-    Dict[DNF, List[DNF]],
-    Dict[DNF, Optional[List[DNF]]],
-    Dict[DNF, List[ShannonBranch]],
-    Dict[DNF, Tuple[float, float]],
-    Dict[DNF, float],
-]:
+def decode_cache_slice(data: bytes) -> Sections:
     """Decode a cache slice into this process's interned DNFs."""
     reader = _Reader(data)
     table = _LoadedTable(reader)
@@ -818,20 +744,7 @@ def merge_cache_slice(data: bytes, cache: DecompositionCache) -> int:
     sharded execution layer guarantees this by construction, since
     worker engines run copies of the coordinator's config.
     """
-    reduced, components, factors, branches, bounds, exact = (
-        decode_cache_slice(data)
-    )
-    cache.reduced.update(reduced)
-    cache.components.update(components)
-    cache.factors.update(factors)
-    cache.branches.update(branches)
-    cache.bounds.update(bounds)
-    cache.exact.update(exact)
-    cache.trim()
-    return (
-        len(reduced) + len(components) + len(factors)
-        + len(branches) + len(bounds) + len(exact)
-    )
+    return cache.merge(decode_cache_slice(data))
 
 
 # ----------------------------------------------------------------------

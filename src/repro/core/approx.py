@@ -33,6 +33,11 @@ the stack) or the subtree represented by the frame directly above it; bound
 propagation therefore always skips ``pending[0]`` and splices in the
 explicitly propagated child interval instead.
 
+Each refinement takes the memoised decomposition step of
+:class:`~repro.core.memo.DecompositionCache` (the one the circuit
+compiler takes too) and reads leaf bounds from it; this module keeps
+the frames, the exact-subtree fold and the node histogram.
+
 Shannon branches ``{x=a} ⊙ Φ|_{x=a}`` are folded into a single weighted
 child of the ``⊕`` frame: the clause probability ``P(x=a)`` becomes the
 child's ``weight``, and when the child is itself refined, the weight moves
@@ -44,15 +49,14 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import clock
-from .bounds import independent_bounds
-from .decompositions import (
-    independent_and_factorization,
-    independent_or_partition,
-    shannon_expansion,
-)
 from .dnf import DNF
-from .memo import DecompositionCache
-from .orders import VariableSelector, max_frequency_choice
+from .memo import (
+    EXCLUSIVE_OR,
+    INDEPENDENT_AND,
+    INDEPENDENT_OR,
+    DecompositionCache,
+)
+from .orders import VariableSelector
 from .variables import VariableRegistry
 
 __all__ = [
@@ -67,13 +71,11 @@ Bounds = Tuple[float, float]
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
 
-_OR = "or"
-_AND = "and"
-_XOR = "xor"
+# Frame kinds: the decomposition step's node kinds, plus the root.
+_OR = INDEPENDENT_OR
+_AND = INDEPENDENT_AND
+_XOR = EXCLUSIVE_OR
 _ROOT = "root"
-
-#: Sentinel distinguishing "not memoised" from a memoised ``None``.
-_UNCOMPUTED = object()
 
 
 class ApproximationResult:
@@ -210,10 +212,10 @@ class _Frame:
     Finished children (exact or closed) are folded into a kind-specific
     accumulator:
 
-    * ``or``   — ``acc = (Π(1−Lᵢ), Π(1−Uᵢ))`` (complement products)
-    * ``and``  — ``acc = (Π Lᵢ, Π Uᵢ)``
-    * ``xor``  — ``acc = (Σ Lᵢ, Σ Uᵢ)``
-    * ``root`` — identity over its single child
+    * ⊗ (``_OR``)  — ``acc = (Π(1−Lᵢ), Π(1−Uᵢ))`` (complement products)
+    * ⊙ (``_AND``) — ``acc = (Π Lᵢ, Π Uᵢ)``
+    * ⊕ (``_XOR``) — ``acc = (Σ Lᵢ, Σ Uᵢ)``
+    * ``_ROOT``    — identity over its single child
 
     ``weight`` scales the finished node value (used when the frame refines
     a weighted Shannon-branch child).
@@ -461,8 +463,7 @@ def approximate_probability(
         raise ValueError(f"unknown error kind {error_kind!r}")
 
     started = clock.monotonic()
-    histogram = {"independent-or": 0, "independent-and": 0,
-                 "exclusive-or": 0}
+    histogram = {_OR: 0, _AND: 0, _XOR: 0}
     steps = 0
     closed = 0
     exact_leaves = 0
@@ -506,42 +507,21 @@ def approximate_probability(
     if dnf.is_true():
         return make_result(1.0, 1.0, True)
 
-    selector = choose_variable or max_frequency_choice
-
     if cache is None:
         cache = DecompositionCache()
-    # The config tuple holds the objects themselves (compared by
-    # identity, and kept alive by the cache) — id()-based keys could be
-    # silently reused after garbage collection.
-    cache.bind(
-        DecompositionCache.bind_config(
-            registry, selector, sort_buckets, read_once_buckets
-        )
-    )
+    cache.bind(registry, choose_variable, sort_buckets, read_once_buckets)
     # Enforce the entry cap across calls too: a long-lived engine issuing
     # many small computes would otherwise never hit the in-loop trim.
     cache.trim()
-    exact_cache = cache.exact
-    bounds_cache = cache.bounds
+    lookup_exact = cache.lookup_exact
+    bucket_bounds = cache.leaf_bounds
 
     def leaf_bounds(leaf: DNF) -> Bounds:
-        value = exact_cache.get(leaf)
+        # A completed subtree's exact value beats its Fig. 3 bounds.
+        value = lookup_exact(leaf)
         if value is not None:
-            # Count exact-subtree reuse here too: cross-tuple sharing in
-            # batched computation mostly surfaces as point *leaf bounds*
-            # (the leaf folds before the in-loop exact lookup runs).
-            cache.hits += 1
             return value, value
-        bounds = bounds_cache.get(leaf)
-        if bounds is None:
-            bounds = independent_bounds(
-                leaf,
-                registry,
-                sort_by_probability=sort_buckets,
-                allow_read_once_buckets=read_once_buckets,
-            )
-            bounds_cache[leaf] = bounds
-        return bounds
+        return bucket_bounds(leaf)
 
     def satisfies(bounds: Bounds) -> bool:
         lower, upper = bounds
@@ -600,7 +580,7 @@ def approximate_probability(
             if raw_low == raw_high and frame.source is not None:
                 # The subtree collapsed to its exact probability; any
                 # later re-occurrence of this DNF folds in one step.
-                exact_cache[frame.source] = raw_low
+                cache.store_exact(frame.source, raw_low)
             if frame.weight != 1.0:
                 bounds = (frame.weight * raw_low, frame.weight * raw_high)
             else:
@@ -655,13 +635,9 @@ def approximate_probability(
         # it, and when the new frame finishes its bounds are absorbed and
         # the head is popped.
         steps += 1
-        if current.reduced:
-            child_dnf = current.dnf
-        else:
-            child_dnf = cache.reduced.get(current.dnf)
-            if child_dnf is None:
-                child_dnf = current.dnf.remove_subsumed()
-                cache.reduced[current.dnf] = child_dnf
+        child_dnf = (
+            current.dnf if current.reduced else cache.reduce(current.dnf)
+        )
         if child_dnf.is_true():
             frame.absorb((current.weight, current.weight))
             frame.pop_head()
@@ -675,68 +651,38 @@ def approximate_probability(
             continue
 
         # A previously completed subtree over the same DNF folds at once.
-        known = exact_cache.get(child_dnf)
+        known = lookup_exact(child_dnf)
         if known is not None:
-            cache.hits += 1
             value = current.weight * known
             frame.absorb((value, value))
             frame.pop_head()
             continue
-        cache.misses += 1
 
-        components = cache.components.get(child_dnf)
-        if components is None:
-            components = independent_or_partition(child_dnf)
-            cache.components[child_dnf] = components
-        if len(components) > 1:
-            histogram["independent-or"] += 1
-            pending = [
-                _PendingChild(
-                    component, *leaf_bounds(component), reduced=True
-                )
-                for component in components
-            ]
-            new_frame = _Frame(
-                _OR, pending, weight=current.weight, source=child_dnf
-            )
-        else:
-            factors = cache.factors.get(child_dnf, _UNCOMPUTED)
-            if factors is _UNCOMPUTED:
-                factors = independent_and_factorization(child_dnf)
-                cache.factors[child_dnf] = factors
-            if factors is not None:
-                histogram["independent-and"] += 1
-                pending = [
-                    _PendingChild(factor, *leaf_bounds(factor), reduced=True)
-                    for factor in factors
-                ]
-                new_frame = _Frame(
-                    _AND, pending, weight=current.weight, source=child_dnf
-                )
-            else:
-                histogram["exclusive-or"] += 1
-                branches = cache.branches.get(child_dnf)
-                if branches is None:
-                    pivot = selector(child_dnf)
-                    branches = shannon_expansion(child_dnf, pivot, registry)
-                    cache.branches[child_dnf] = branches
-                pending = []
-                for branch in branches:
-                    if branch.cofactor.is_true():
-                        low, high = 1.0, 1.0
-                    else:
-                        low, high = leaf_bounds(branch.cofactor)
-                    pending.append(
-                        _PendingChild(
-                            branch.cofactor,
-                            low,
-                            high,
-                            weight=branch.probability,
-                        )
+        kind, parts = cache.decompose(child_dnf)
+        histogram[kind] += 1
+        if kind == _XOR:
+            pending = []
+            for branch in parts:
+                if branch.cofactor.is_true():
+                    low, high = 1.0, 1.0
+                else:
+                    low, high = leaf_bounds(branch.cofactor)
+                pending.append(
+                    _PendingChild(
+                        branch.cofactor,
+                        low,
+                        high,
+                        weight=branch.probability,
                     )
-                new_frame = _Frame(
-                    _XOR, pending, weight=current.weight, source=child_dnf
                 )
+        else:
+            pending = [
+                _PendingChild(part, *leaf_bounds(part), reduced=True)
+                for part in parts
+            ]
+        new_frame = _Frame(
+            kind, pending, weight=current.weight, source=child_dnf
+        )
 
         stack.append(new_frame)
         max_depth = max(max_depth, len(stack))

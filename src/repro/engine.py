@@ -93,7 +93,7 @@ from .core.approx import (
 from .core.dnf import DNF
 from .core.formulas import Formula
 from .core.memo import DecompositionCache
-from .core.orders import VariableSelector, max_frequency_choice
+from .core.orders import VariableSelector
 from .core.readonce import try_read_once
 from .core.variables import VariableRegistry
 
@@ -1332,21 +1332,17 @@ class ConfidenceEngine:
     def bind_cache(self) -> DecompositionCache:
         """The engine's cache, bound to the engine's own configuration.
 
-        The exact bind the decomposition/compile paths perform —
-        identity-compared ``(registry, selector, heuristic flags)`` —
-        so entries merged into the cache afterwards (worker cache
-        slices shipped by the sharded execution layer) survive the next
-        engine call instead of being cleared by a config rebind.
+        The same bind the decomposition/compile paths perform, so
+        entries merged into the cache afterwards (worker cache slices
+        shipped by the sharded execution layer) survive the next engine
+        call instead of being cleared by a config rebind.
         """
         config = self.config
-        selector = config.choose_variable or max_frequency_choice
         self.cache.bind(
-            DecompositionCache.bind_config(
-                self.registry,
-                selector,
-                config.sort_buckets,
-                config.read_once_buckets,
-            )
+            self.registry,
+            config.choose_variable,
+            config.sort_buckets,
+            config.read_once_buckets,
         )
         return self.cache
 
