@@ -64,6 +64,8 @@ __all__ = [
     "ApproximationResult",
     "ABSOLUTE",
     "RELATIVE",
+    "interval_certified",
+    "interval_estimate",
 ]
 
 Bounds = Tuple[float, float]
@@ -76,6 +78,42 @@ _OR = INDEPENDENT_OR
 _AND = INDEPENDENT_AND
 _XOR = EXCLUSIVE_OR
 _ROOT = "root"
+
+
+def interval_certified(
+    lower: float, upper: float, epsilon: float, error_kind: str
+) -> bool:
+    """Prop. 5.8: do the bounds ``[lower, upper]`` certify the request?
+
+    Absolute: ``U − L ≤ 2ε``; relative: ``(1−ε)·U ≤ (1+ε)·L``.  The
+    termination and closing checks of :func:`approximate_probability`
+    and the engine's circuit-refine rounds all decide convergence here.
+    """
+    if error_kind == ABSOLUTE:
+        return upper - lower <= 2.0 * epsilon
+    return (1.0 - epsilon) * upper <= (1.0 + epsilon) * lower
+
+
+def interval_estimate(
+    lower: float,
+    upper: float,
+    epsilon: float,
+    error_kind: str,
+    converged: bool,
+) -> float:
+    """The value reported for the bounds ``[lower, upper]``.
+
+    Converged, any value in the Prop. 5.8 interval qualifies: its
+    midpoint, clipped into the bounds.  Otherwise the midpoint of the
+    bounds themselves.
+    """
+    if not converged:
+        return (lower + upper) / 2.0
+    if error_kind == ABSOLUTE:
+        estimate = ((upper - epsilon) + (lower + epsilon)) / 2.0
+    else:
+        estimate = ((1.0 - epsilon) * upper + (1.0 + epsilon) * lower) / 2.0
+    return max(lower, min(upper, estimate))
 
 
 class ApproximationResult:
@@ -474,22 +512,12 @@ def approximate_probability(
     ) -> ApproximationResult:
         lower = max(0.0, min(lower, 1.0))
         upper = max(lower, min(upper, 1.0))
-        if converged:
-            # Any value in the Prop. 5.8 interval qualifies; report its
-            # midpoint, clipped into the bound interval.
-            if error_kind == ABSOLUTE:
-                estimate = ((upper - epsilon) + (lower + epsilon)) / 2.0
-            else:
-                estimate = (
-                    (1.0 - epsilon) * upper + (1.0 + epsilon) * lower
-                ) / 2.0
-            estimate = max(lower, min(upper, estimate))
-        else:
-            estimate = (lower + upper) / 2.0
         return ApproximationResult(
             lower=lower,
             upper=upper,
-            estimate=estimate,
+            estimate=interval_estimate(
+                lower, upper, epsilon, error_kind, converged
+            ),
             converged=converged,
             epsilon=epsilon,
             error_kind=error_kind,
@@ -522,12 +550,6 @@ def approximate_probability(
         if value is not None:
             return value, value
         return bucket_bounds(leaf)
-
-    def satisfies(bounds: Bounds) -> bool:
-        lower, upper = bounds
-        if error_kind == ABSOLUTE:
-            return upper - lower <= 2.0 * epsilon
-        return (1.0 - epsilon) * upper <= (1.0 + epsilon) * lower
 
     root_dnf = dnf.remove_subsumed()
     if root_dnf.is_true():
@@ -588,7 +610,11 @@ def approximate_probability(
             stack.pop()
             if not stack:
                 lower, upper = bounds
-                return make_result(lower, upper, satisfies(bounds))
+                return make_result(
+                    lower,
+                    upper,
+                    interval_certified(lower, upper, epsilon, error_kind),
+                )
             parent = stack[-1]
             parent.absorb(bounds)
             parent.pop_head()
@@ -602,7 +628,7 @@ def approximate_probability(
         overall, worst = global_bounds_both(current_bounds)
 
         # Check 1 — may we stop with an ε-approximation?
-        if satisfies(overall):
+        if interval_certified(overall[0], overall[1], epsilon, error_kind):
             return make_result(overall[0], overall[1], True)
 
         # Budget exhaustion: report the (always sound) current bounds.
@@ -622,7 +648,7 @@ def approximate_probability(
             frame.kind == _AND and frame.closed_incomplete
         )
         if closing_allowed:
-            if satisfies(worst):
+            if interval_certified(worst[0], worst[1], epsilon, error_kind):
                 closed += 1
                 if frame.kind == _AND:
                     frame.closed_incomplete = True

@@ -10,8 +10,9 @@ combine lineage the standard way for c-tables:
 * union ``∨``-combines lineage of identical tuples across inputs.
 
 ``conf`` closes the loop: it converts each answer's lineage to DNF and
-computes its probability with a pluggable confidence method (the d-tree
-algorithms or the Monte-Carlo baselines), mirroring the paper's
+computes its probability through the
+:class:`~repro.engine.ConfidenceEngine` strategy ladder (or a pluggable
+confidence method, e.g. a Monte-Carlo baseline), mirroring the paper's
 ``select conf() …`` queries.
 """
 
@@ -28,10 +29,10 @@ from typing import (
     Tuple,
 )
 
-from ..core.approx import ApproximationResult, approximate_probability
 from ..core.dnf import DNF
 from ..core.formulas import Formula, conj, disj
 from ..core.variables import VariableRegistry
+from ..engine import ConfidenceEngine
 from .relation import Relation, Row
 
 __all__ = [
@@ -253,20 +254,24 @@ def conf(
     """The ``conf()`` aggregate: per distinct tuple, ``P(lineage)``.
 
     Duplicate tuples are ``∨``-merged first (confidence is a projection
-    with duplicate elimination).  The default method runs the paper's
-    d-tree algorithm at the requested ``epsilon``; pass a custom ``method``
-    to plug in a baseline.
+    with duplicate elimination).  By default all distinct tuples are
+    answered as one :meth:`~repro.engine.ConfidenceEngine.compute_many`
+    batch at the requested ``epsilon`` (the strategy ladder: read-once
+    lineage is exact in linear time, the rest takes the paper's d-tree
+    algorithm); pass a custom ``method`` to plug in a baseline.
     """
-    deduplicated = project(relation, list(relation.attributes))
-    results: List[Tuple[Row, float]] = []
-    for values, lineage in deduplicated.rows:
-        dnf = lineage.to_dnf()
-        if method is not None:
-            probability = method(dnf, registry)
-        else:
-            outcome: ApproximationResult = approximate_probability(
-                dnf, registry, epsilon=epsilon, error_kind=error_kind
-            )
-            probability = outcome.estimate
-        results.append((values, probability))
-    return results
+    rows = project(relation, list(relation.attributes)).rows
+    dnfs = [lineage.to_dnf() for _values, lineage in rows]
+    if method is not None:
+        probabilities = [method(dnf, registry) for dnf in dnfs]
+    else:
+        engine = ConfidenceEngine(
+            registry, epsilon=epsilon, error_kind=error_kind
+        )
+        probabilities = [
+            result.probability for result in engine.compute_many(dnfs)
+        ]
+    return [
+        (values, probability)
+        for (values, _lineage), probability in zip(rows, probabilities)
+    ]

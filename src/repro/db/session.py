@@ -421,14 +421,9 @@ class QueryResult:
         # until ``ProbDB.close()`` (or GC) retires it.
         with batch:
             yield snapshot()
-            while not batch.converged():
-                if (
-                    max_total_steps is not None
-                    and batch.total_steps >= max_total_steps
-                ):
-                    break
-                if batch.out_of_time():
-                    break
+            while not batch.converged() and not batch.spent(
+                max_total_steps
+            ):
                 if batch.step() is None:
                     break
                 yield snapshot()

@@ -253,11 +253,7 @@ def _rank_batch(batch, answers, k, max_total_steps, separation,
             and results[index].lower < best_excluded_upper + separation
             and not results[index].converged
         ]
-        if (
-            not boundary
-            or batch.total_steps >= max_total_steps
-            or batch.out_of_time()
-        ):
+        if not boundary or batch.spent(max_total_steps):
             break  # fully converged ties or out of budget: best effort
         progressed = False
         if guided:

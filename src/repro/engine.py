@@ -42,13 +42,17 @@ Batched computation
 -------------------
 :meth:`ConfidenceEngine.compute_many` answers a *set* of lineage formulas
 as one prioritized anytime computation (the MystiQ view of multi-answer
-queries): under a shared step/time budget it round-robins refinement
-across tuples by certified interval width via :class:`BatchComputation`,
-so the widest — most ambiguous — answer is always the one refined next,
-and every tuple's refinement reuses the cache entries its siblings just
-populated.  Top-k ranking (:func:`repro.db.topk.rank_answers`) and the
-session façade's ``QueryResult.bounds()`` iterator are thin consumers of
-the same machinery.
+queries), always through :class:`BatchComputation`: under a shared
+step budget it round-robins refinement across tuples by certified
+interval width, so the widest — most ambiguous — answer is always the
+one refined next; without one, every tuple gets its full per-call
+budget in a single pass.  Either way every tuple's refinement reuses
+the cache entries its siblings just populated, and the MC rung and
+circuit compilation run once, on the final answers.  Top-k ranking
+(:func:`repro.db.topk.rank_answers`) and the session façade's
+``QueryResult.bounds()`` iterator are thin consumers of the same
+machinery, and stop refining on the same rule
+(:meth:`BatchComputation.spent`).
 
 The engine also owns a :class:`~repro.core.memo.DecompositionCache`
 shared across all of its calls: repeated sub-DNFs — ubiquitous in top-k
@@ -89,6 +93,8 @@ from .core.approx import (
     RELATIVE,
     ApproximationResult,
     approximate_probability,
+    interval_certified,
+    interval_estimate,
 )
 from .core.dnf import DNF
 from .core.formulas import Formula
@@ -318,7 +324,7 @@ def _lineage_seed(base: int, dnf: DNF) -> int:
 
 
 #: Human-readable fragment per MC sampler tag, spliced into the
-#: EngineResult reason string by both MC call sites.
+#: EngineResult reason string by :meth:`ConfidenceEngine._mc_rung`.
 _MC_SAMPLER_REASONS = {
     "karp-luby": "Karp–Luby/DKLR aconf estimate",
     "circuit": "vectorized circuit-sampling DKLR estimate",
@@ -487,30 +493,46 @@ def _merge_refined(
     return result
 
 
-def _interval_converged(
-    low: float, high: float, epsilon: float, error_kind: str
-) -> bool:
-    """Does ``[low, high]`` certify the request?  Mirrors the d-tree
-    run's Prop. 5.8 criterion (one definition, so the circuit-refine
-    path cannot disagree with the ε-approximation on convergence)."""
-    if error_kind == ABSOLUTE:
-        return high - low <= 2.0 * epsilon
-    return (1.0 - epsilon) * high <= (1.0 + epsilon) * low
+def _compute_round(
+    engine: "ConfidenceEngine",
+    items: Iterable[Tuple[int, DNF, Optional[int]]],
+    epsilon: float,
+    error_kind: str,
+    deadline_seconds: Optional[float],
+) -> List[Tuple[int, EngineResult]]:
+    """One batch round: compute each ``(index, dnf, step budget)`` item,
+    in order, on ``engine``.
 
-
-def _interval_estimate(
-    low: float, high: float, epsilon: float, error_kind: str,
-    converged: bool,
-) -> float:
-    """The reported estimate for certified bounds (mirrors the d-tree
-    run's ``make_result``: midpoint of the qualifying interval)."""
-    if not converged:
-        return (low + high) / 2.0
-    if error_kind == ABSOLUTE:
-        estimate = ((high - epsilon) + (low + epsilon)) / 2.0
-    else:
-        estimate = ((1.0 - epsilon) * high + (1.0 + epsilon) * low) / 2.0
-    return max(low, min(high, estimate))
+    The one body of every round, inline and in pool tasks alike.  The
+    MC rung is deferred to the end of the batch
+    (:meth:`ConfidenceEngine._finalize_batch`): sampling inside the
+    refinement loop would be paid every round, and run once on the
+    coordinator a seeded estimate does not depend on shard assignment.
+    Circuit compilation likewise: a round's result is replaced next
+    round, so consumers that want circuits compile once, from the final
+    results.  ``deadline_seconds`` is what is left of the batch
+    deadline when the round starts; each item gets the rest of it,
+    clamped at 0.
+    """
+    started = clock.monotonic()
+    out: List[Tuple[int, EngineResult]] = []
+    for index, dnf, budget in items:
+        remaining = (
+            None
+            if deadline_seconds is None
+            else max(deadline_seconds - (clock.monotonic() - started), 0.0)
+        )
+        result = engine.compute(
+            dnf,
+            epsilon=epsilon,
+            error_kind=error_kind,
+            max_steps=budget,
+            deadline_seconds=remaining,
+            mc_fallback=False,
+            compile_circuits=False,
+        )
+        out.append((index, result))
+    return out
 
 
 def resumable_circuit(
@@ -581,9 +603,9 @@ def _circuit_refine_result(
     )
     expanded = expand_residuals(circuit, {slot: replacement})
     low, high = expanded.evaluate_bounds()
-    converged = _interval_converged(low, high, epsilon, error_kind)
+    converged = interval_certified(low, high, epsilon, error_kind)
     result = EngineResult(
-        _interval_estimate(low, high, epsilon, error_kind, converged),
+        interval_estimate(low, high, epsilon, error_kind, converged),
         low,
         high,
         "circuit-refine",
@@ -640,9 +662,8 @@ class BatchComputation:
         The initial pass gives every tuple its *full* per-call budget
         (``max_steps``, else the engine config's) instead of
         ``initial_steps``, and that budget is also the refinement cap,
-        so nothing is left to refine — one pooled pass, the parallel
-        analogue of the unbudgeted :meth:`ConfidenceEngine.compute_many`
-        loop.
+        so nothing is left to refine — one pass, inline or pooled: the
+        unbudgeted :meth:`ConfidenceEngine.compute_many`.
 
     A pooled batch leases the engine-lifetime worker pool;
     :meth:`close` (or leaving a ``with`` block) drops the lease, and
@@ -722,8 +743,8 @@ class BatchComputation:
             for lineage in lineages
         ]
         self.budgets: List[Optional[int]] = [
-            self._capped(initial_steps) for _ in self.dnfs
-        ]
+            self._capped(initial_steps)
+        ] * len(self.dnfs)
         self.shards = min(workers, len(self.dnfs))
         self._rounds: Optional["PooledRounds"] = None
         if self.shards > 1:
@@ -751,22 +772,15 @@ class BatchComputation:
         remaining = self.remaining_seconds()
         return remaining is not None and remaining <= 0.0
 
-    def _compute(self, index: int) -> EngineResult:
-        # MC fallback is deferred to the very end of a batch (see
-        # ConfidenceEngine._finalize_batch): sampling inside the
-        # refinement loop would be paid on every round.  Circuit
-        # compilation likewise: a refinement round's result is replaced
-        # next round, so its circuit would be thrown away — consumers
-        # that want circuits compile once, from the final results.
-        return self.engine.compute(
-            self.dnfs[index],
-            epsilon=self.epsilon,
-            error_kind=self.error_kind,
-            max_steps=self.budgets[index],
-            deadline_seconds=self.remaining_seconds(),
-            mc_fallback=False,
-            compile_circuits=False,
-        )
+    def spent(self, max_total_steps: Optional[int]) -> bool:
+        """The refinement stop rule: is the shared step budget
+        (``max_total_steps``, ``None`` = unbounded) used up, or the
+        batch deadline past?  :meth:`run`, ``QueryResult.bounds()`` and
+        top-k ranking all stop refining on it."""
+        return (
+            max_total_steps is not None
+            and self.total_steps >= max_total_steps
+        ) or self.out_of_time()
 
     def _install(self, index: int, result: EngineResult) -> None:
         """Record a refined result: merged monotonically into the
@@ -785,12 +799,20 @@ class BatchComputation:
     ) -> None:
         """Compute ``indices`` at their current budgets — inline, one
         after another, or as one pooled round."""
+        items = [
+            (index, self.dnfs[index], self.budgets[index])
+            for index in indices
+        ]
         if self._rounds is None:
-            computed: Iterable[Tuple[int, EngineResult]] = (
-                (index, self._compute(index)) for index in indices
+            computed = _compute_round(
+                self.engine,
+                items,
+                self.epsilon,
+                self.error_kind,
+                self.remaining_seconds(),
             )
         else:
-            computed = self._rounds.compute(self, list(indices))
+            computed = self._rounds.compute(self, items)
         for index, result in computed:
             if initial:
                 self.results.append(result)
@@ -911,14 +933,7 @@ class BatchComputation:
         finalization stays with the engine
         (:meth:`ConfidenceEngine.compute_many`).
         """
-        while (
-            not self.converged()
-            and (
-                max_total_steps is None
-                or self.total_steps < max_total_steps
-            )
-            and not self.out_of_time()
-        ):
+        while not self.converged() and not self.spent(max_total_steps):
             if self.step() is None:
                 break
         return self.results
@@ -1017,39 +1032,6 @@ class ConfidenceEngine:
         self.circuit_sink: Optional[
             Callable[[DNF, Circuit], None]
         ] = None
-
-    # -- EngineConfig field mirrors (pre-config API compatibility) -------
-    @property
-    def epsilon(self) -> float:
-        return self.config.epsilon
-
-    @property
-    def error_kind(self) -> str:
-        return self.config.error_kind
-
-    @property
-    def choose_variable(self) -> Optional[VariableSelector]:
-        return self.config.choose_variable
-
-    @property
-    def deadline_seconds(self) -> Optional[float]:
-        return self.config.deadline_seconds
-
-    @property
-    def max_steps(self) -> Optional[int]:
-        return self.config.max_steps
-
-    @property
-    def mc_fallback(self) -> bool:
-        return self.config.mc_fallback
-
-    @property
-    def mc_max_samples(self) -> int:
-        return self.config.mc_max_samples
-
-    @property
-    def try_read_once(self) -> bool:
-        return self.config.try_read_once
 
     # ------------------------------------------------------------------
     # Constructors
@@ -1208,47 +1190,17 @@ class ConfidenceEngine:
             )
             return finish(attach(self._from_dtree(outcome, reason)))
 
-        # Rung 5: Monte-Carlo fallback on budget exhaustion.  The MC rung
-        # is bounded by ``mc_max_samples`` (aconf has no wall-clock cap);
-        # it is skipped when the caller's deadline is already spent.
+        # Rung 5: Monte-Carlo fallback on budget exhaustion, skipped
+        # when the caller's deadline is already spent.
         remaining = (
             None
             if deadline_seconds is None
             else deadline_seconds - (clock.monotonic() - started)
         )
-        mc_result = self._run_mc(dnf, epsilon, remaining)
-        if mc_result is None:
-            return finish(
-                attach(
-                    self._from_dtree(
-                        outcome,
-                        "d-tree budget exhausted; MC fallback unavailable",
-                    )
-                )
-            )
-        estimate, samples, capped, sampler = mc_result
-        # The d-tree bounds stay sound; clip the MC estimate into them.
-        estimate = min(max(estimate, outcome.lower), outcome.upper)
-        return finish(
-            attach(
-                EngineResult(
-                    estimate,
-                    outcome.lower,
-                    outcome.upper,
-                    "mc",
-                    "d-tree budget exhausted; "
-                    + _MC_SAMPLER_REASONS[sampler]
-                    + " within the partial d-tree bounds",
-                    not capped,
-                    epsilon,
-                    error_kind,
-                    steps=outcome.steps,
-                    details={"dtree": outcome, "mc_samples": samples,
-                             "mc_capped": capped,
-                             "mc_sampler": sampler},
-                )
-            )
+        unconverged = self._from_dtree(
+            outcome, "d-tree budget exhausted; MC fallback unavailable"
         )
+        return finish(attach(self._mc_rung(dnf, unconverged, remaining)))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1427,11 +1379,15 @@ class ConfidenceEngine:
         first, and on exhaustion every tuple still carries sound bounds
         (with the MC rung estimating inside them where applicable).
 
-        Without a shared budget there is nothing to arbitrate and each
-        tuple simply runs to its own guarantee — but still back to back
-        on the engine's shared :class:`DecompositionCache`, so answers
-        with overlapping lineage fold each other's subtrees instead of
-        recompiling them (the cache-sharing win over N cold calls).
+        Without a shared budget there is nothing to arbitrate: the batch
+        is one pass in which every tuple runs to its own guarantee (its
+        full per-call budget).  With one shard — ``min(workers,
+        len(lineages)) == 1`` — that pass runs inline on the engine's
+        shared :class:`DecompositionCache`, so answers with overlapping
+        lineage fold each other's subtrees instead of recompiling them
+        (the cache-sharing win over N cold calls).  Either way the MC
+        rung and circuit compilation run once, after the pass, on the
+        final answers.
 
         ``deadline_seconds`` bounds the *whole batch*, unlike
         :meth:`compute`'s per-call deadline.
@@ -1443,7 +1399,6 @@ class ConfidenceEngine:
         and the merged results are exactly as sound as inline rounds'
         (bit-identical for exact strategies).
         """
-        config = self.config
         lineages = list(lineages)
         if not lineages:
             return []
@@ -1453,34 +1408,7 @@ class ConfidenceEngine:
         if len(self._readonce_memo) > _CARRY_READ_ONCE:
             self._readonce_memo.clear()
         if max_total_steps is None:
-            max_total_steps = config.max_total_steps
-        deadline = (
-            config.deadline_seconds
-            if deadline_seconds is None
-            else deadline_seconds
-        )
-        if workers is None:
-            workers = config.workers
-        if max_total_steps is None and min(workers, len(lineages)) <= 1:
-            started = clock.monotonic()
-            results = []
-            for lineage in lineages:
-                remaining = (
-                    None
-                    if deadline is None
-                    else max(deadline - (clock.monotonic() - started), 0.0)
-                )
-                results.append(
-                    self.compute(
-                        lineage,
-                        epsilon=epsilon,
-                        error_kind=error_kind,
-                        max_steps=max_steps,
-                        deadline_seconds=remaining,
-                    )
-                )
-            return results
-
+            max_total_steps = self.config.max_total_steps
         with BatchComputation(
             self,
             lineages,
@@ -1489,7 +1417,7 @@ class ConfidenceEngine:
             initial_steps=initial_steps,
             step_growth=step_growth,
             max_steps=max_steps,
-            deadline_seconds=deadline,
+            deadline_seconds=deadline_seconds,
             workers=workers,
             executor_kind=executor_kind,
             run_to_guarantee=max_total_steps is None,
@@ -1547,33 +1475,47 @@ class ConfidenceEngine:
         ):
             return
         for index, result in enumerate(batch.results):
-            if result.converged:
-                continue
-            mc_result = self._run_mc(
-                batch.dnfs[index], batch.epsilon, batch.remaining_seconds()
-            )
-            if mc_result is None:
-                continue
-            estimate, samples, capped, sampler = mc_result
-            estimate = min(max(estimate, result.lower), result.upper)
-            batch.results[index] = EngineResult(
-                estimate,
-                result.lower,
-                result.upper,
-                "mc",
-                "batch budget exhausted; "
-                + _MC_SAMPLER_REASONS[sampler]
-                + " within the partial d-tree bounds",
-                not capped,
-                batch.epsilon,
-                batch.error_kind,
-                steps=result.steps,
-                details=dict(
-                    result.details, mc_samples=samples, mc_capped=capped,
-                    mc_sampler=sampler,
-                ),
-                circuit=result.circuit,
-            )
+            if not result.converged:
+                batch.results[index] = self._mc_rung(
+                    batch.dnfs[index], result, batch.remaining_seconds()
+                )
+
+    def _mc_rung(
+        self,
+        dnf: DNF,
+        result: EngineResult,
+        remaining_seconds: Optional[float],
+    ) -> EngineResult:
+        """The MC rung over an unconverged ``result`` for ``dnf``.
+
+        One definition for :meth:`compute` and the end of a batch: the
+        DKLR estimate (bounded by ``mc_max_samples``; aconf has no
+        wall-clock cap) is clipped into ``result``'s bounds, which stay
+        sound.  ``result`` comes back unchanged when MC is unavailable
+        or ``remaining_seconds`` is spent.
+        """
+        mc_result = self._run_mc(dnf, result.epsilon, remaining_seconds)
+        if mc_result is None:
+            return result
+        estimate, samples, capped, sampler = mc_result
+        return EngineResult(
+            min(max(estimate, result.lower), result.upper),
+            result.lower,
+            result.upper,
+            "mc",
+            "d-tree budget exhausted; "
+            + _MC_SAMPLER_REASONS[sampler]
+            + " within the partial d-tree bounds",
+            not capped,
+            result.epsilon,
+            result.error_kind,
+            steps=result.steps,
+            details=dict(
+                result.details, mc_samples=samples, mc_capped=capped,
+                mc_sampler=sampler,
+            ),
+            circuit=result.circuit,
+        )
 
     def _mc_applicable(
         self, epsilon: float, error_kind: str, enabled: bool

@@ -89,7 +89,6 @@ from .circuits.serialize import (
     encode_circuit,
     merge_cache_slice,
 )
-from .core import clock
 from .core.dnf import DNF
 from .core.events import Clause
 from .core.variables import (
@@ -105,6 +104,7 @@ from .engine import (
     EngineConfig,
     EngineResult,
     _circuit_max_nodes,
+    _compute_round,
 )
 
 __all__ = ["PooledRounds", "WorkerPool", "build_worker_engine"]
@@ -183,38 +183,19 @@ def _process_worker_init(
 
 def _run_items(
     engine: ConfidenceEngine,
-    items: Sequence[_WorkItem],
+    items: Sequence[Tuple[int, DNF, Optional[int]]],
     epsilon: float,
     error_kind: str,
     deadline_remaining: Optional[float],
     worker_key: object,
 ) -> _ShardReport:
-    """Compute every item of one shard task, in order, on one engine.
-
-    The MC rung is always disabled here: sampling fallback runs exactly
-    once, on the coordinator, after all refinement (so seeded runs don't
-    depend on shard assignment).
-    """
-    started = clock.monotonic()
-    out: List[Tuple[int, EngineResult]] = []
-    for index, dnf, budget in items:
-        remaining = (
-            None
-            if deadline_remaining is None
-            else max(
-                deadline_remaining - (clock.monotonic() - started), 0.0
-            )
-        )
-        result = engine.compute(
-            dnf,
-            epsilon=epsilon,
-            error_kind=error_kind,
-            max_steps=budget,
-            deadline_seconds=remaining,
-            mc_fallback=False,
-        )
-        out.append((index, result))
-    return out, engine.cache.stats(), worker_key
+    """One shard task: the shared round body
+    (:func:`repro.engine._compute_round`) on one worker engine, plus the
+    cache stats and worker key the coordinator keeps."""
+    results = _compute_round(
+        engine, items, epsilon, error_kind, deadline_remaining
+    )
+    return results, engine.cache.stats(), worker_key
 
 
 def _process_run_items(
@@ -651,20 +632,20 @@ class PooledRounds:
         return reports
 
     def compute(
-        self, batch: BatchComputation, indices: Sequence[int]
+        self,
+        batch: BatchComputation,
+        items: Sequence[Tuple[int, DNF, Optional[int]]],
     ) -> List[Tuple[int, EngineResult]]:
-        """One round computing ``indices`` at their current budgets.
+        """One round computing ``batch``'s ``(index, dnf, step budget)``
+        items.
 
-        ``indices`` arrive pre-ordered (by index for the initial pass,
+        ``items`` arrive pre-ordered (by index for the initial pass,
         widest-first for refinement rounds); the results come back
         ordered by tuple index.
         """
         reports = self._round(
             (_run_items, _process_run_items),
-            [
-                (index, batch.dnfs[index], batch.budgets[index])
-                for index in indices
-            ],
+            items,
             lambda: (
                 batch.epsilon, batch.error_kind, batch.remaining_seconds()
             ),

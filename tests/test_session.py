@@ -136,7 +136,7 @@ class TestEngineConfig:
         assert engine.config == EngineConfig(
             epsilon=0.05, mc_fallback=False
         )
-        assert engine.epsilon == 0.05  # compat property mirrors config
+        assert engine.config.epsilon == 0.05
         base = EngineConfig(error_kind="relative")
         engine = ConfidenceEngine(reg, base, epsilon=0.1)
         assert engine.config.error_kind == "relative"
