@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .approx import ABSOLUTE, RELATIVE, approximate_probability
+from .approx import RELATIVE, approximate_probability
 from .dnf import DNF
 from .exact import exact_probability
 from .variables import VariableRegistry
@@ -37,6 +37,22 @@ def _uniform_registry(variables: Sequence[Hashable]) -> VariableRegistry:
     return VariableRegistry.from_boolean_probabilities(
         {variable: 0.5 for variable in variables}
     )
+
+
+def _probability(
+    dnf: DNF, registry: VariableRegistry, epsilon: float
+) -> float:
+    """``P(Φ)``: exact when ``epsilon`` is 0, else the estimate of a
+    relative ε-approximation; constant DNFs skip the engine."""
+    if dnf.is_false():
+        return 0.0
+    if dnf.is_true():
+        return 1.0
+    if epsilon == 0.0:
+        return exact_probability(dnf, registry)
+    return approximate_probability(
+        dnf, registry, epsilon=epsilon, error_kind=RELATIVE
+    ).estimate
 
 
 def model_count(
@@ -63,20 +79,8 @@ def model_count(
             raise ValueError(
                 f"DNF mentions variables outside the universe: {missing}"
             )
-    universe_size = len(variables)
-    if dnf.is_false():
-        return 0.0
-    if dnf.is_true():
-        return float(2**universe_size)
-
-    registry = _uniform_registry(variables)
-    if epsilon == 0.0:
-        probability = exact_probability(dnf, registry)
-    else:
-        probability = approximate_probability(
-            dnf, registry, epsilon=epsilon, error_kind=RELATIVE
-        ).estimate
-    return probability * (2.0**universe_size)
+    probability = _probability(dnf, _uniform_registry(variables), epsilon)
+    return probability * (2.0 ** len(variables))
 
 
 def weighted_model_count(
@@ -117,11 +121,6 @@ def weighted_model_count(
              if weight > 0},
         )
 
-    if dnf.is_false():
-        return 0.0
-    if dnf.is_true():
-        return scale
-
     # Clauses using zero-weight atoms contribute nothing: drop them by
     # re-normalising the DNF against the registry's (positive) domains.
     clauses = []
@@ -131,17 +130,7 @@ def weighted_model_count(
             for variable, value in clause.items()
         ):
             clauses.append(clause)
-    pruned = DNF(clauses)
-    if pruned.is_false():
-        return 0.0
-
-    if epsilon == 0.0:
-        probability = exact_probability(pruned, registry)
-    else:
-        probability = approximate_probability(
-            pruned, registry, epsilon=epsilon, error_kind=RELATIVE
-        ).estimate
-    return probability * scale
+    return _probability(DNF(clauses), registry, epsilon) * scale
 
 
 def conditional_probability(
@@ -161,19 +150,7 @@ def conditional_probability(
     conditioning.
     """
     conjunction = phi.conjoin(given)
-
-    def probability_of(target: DNF) -> float:
-        if target.is_false():
-            return 0.0
-        if target.is_true():
-            return 1.0
-        if epsilon == 0.0:
-            return exact_probability(target, registry)
-        return approximate_probability(
-            target, registry, epsilon=epsilon, error_kind=RELATIVE
-        ).estimate
-
-    denominator = probability_of(given)
+    denominator = _probability(given, registry, epsilon)
     if denominator == 0.0:
         raise ZeroDivisionError("conditioning on an almost-surely-false event")
-    return probability_of(conjunction) / denominator
+    return _probability(conjunction, registry, epsilon) / denominator

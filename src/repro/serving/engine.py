@@ -42,11 +42,23 @@ engine memoises each lineage's DNF by its JSON text until a registry
 atom probability changes (see :meth:`ServingEngine._lineage`), so a
 warm request pays a :func:`json.dumps` and a dict lookup instead.
 
+Every op takes one request path: one response-cache lookup, circuit
+resolution, batched rows or a ``refine`` round, and one cache
+admission.  Only circuit answers (``store``/``overlay``/
+``engine-compile``, and ``mixed`` top-k sets of them) are cached; a
+direct ``engine`` answer returns before the admission, and a
+``refine`` request bypasses the cache.  A circuit that the server
+compiles or refines for a lineage the snapshot or overlay already held
+shadows the old one, so the store's cached responses go
+(:meth:`ServingEngine._to_overlay`).
+
 Backpressure: admission beyond ``max_inflight + queue_limit`` sheds
 with a structured ``overloaded`` error; admitted requests wait on a
-global and a per-tenant semaphore, and per-request deadlines (read
-through :mod:`repro.core.clock`, so tests can fake time) fail with
-``deadline-exceeded`` rather than queueing forever.
+global and a per-tenant semaphore, and a request's
+``deadline_seconds`` (a number in ``[0, inf)``; no deadline when
+absent; anything else is ``bad-request``), read through
+:mod:`repro.core.clock` so tests can fake time, fails it with
+``deadline-exceeded`` rather than letting it queue forever.
 """
 
 from __future__ import annotations
@@ -87,11 +99,13 @@ __all__ = ["ServingConfig", "ServingEngine"]
 
 _OPS = ("evaluate", "bounds", "gradients", "what_if", "sweep", "top_k")
 
-#: Strategies whose responses are pure functions of the snapshot and
-#: the request — safe to replay from the response cache.  ``engine``
-#: is excluded: a cold computation may have used the (seeded or not)
-#: MC rung, and its convergence is budget-dependent.
-_CACHEABLE_STRATEGIES = frozenset({"store", "overlay", "engine-compile"})
+#: Refinement rounds a ``bounds``/``sweep`` request with ``refine``
+#: may run on a partial circuit (engine required).
+_REFINE_ROUNDS = 4
+
+#: Circuits the overlay keeps for cold lineages before wholesale
+#: eviction (the CircuitCache policy).
+_OVERLAY_ENTRIES = 1024
 
 #: Decoded wire lineages :meth:`ServingEngine._lineage` keeps before it
 #: clears the memo wholesale (the CircuitCache policy).  Each entry is
@@ -143,6 +157,11 @@ class ServingConfig:
     scalar circuit path, a larger one on the numpy kernel; the numbers
     are bit-identical either way, so ``max_batch`` and the window
     trade latency for throughput, never answers.
+
+    A request runs without a deadline unless it sends
+    ``deadline_seconds``.  The ``refine`` round count and the overlay
+    size are module constants (:data:`_REFINE_ROUNDS`,
+    :data:`_OVERLAY_ENTRIES`), not knobs.
     """
 
     max_inflight: int = 64
@@ -150,13 +169,6 @@ class ServingConfig:
     queue_limit: int = 256
     batch_window_seconds: float = 0.002
     max_batch: int = 256
-    default_deadline_seconds: Optional[float] = None
-    #: Refinement rounds allowed when a ``bounds``/``sweep`` request
-    #: asks for ``refine`` on a partial circuit (engine required).
-    refine_rounds: int = 4
-    #: Circuits the overlay keeps for cold lineages before wholesale
-    #: eviction (the CircuitCache policy).
-    overlay_entries: int = 1024
     #: Finished responses kept in the LRU response cache (0 disables).
     #: Cached answers are bit-identical by construction: the cached
     #: object is the response computed on the first request, keyed by
@@ -341,9 +353,7 @@ class ServingEngine:
         self.stats = ServingStats()
         #: Warm cache of circuits this server compiled for cold
         #: lineages (partial circuits included — exact_only=False).
-        self.overlay = CircuitCache(
-            max_entries=self.config.overlay_entries
-        )
+        self.overlay = CircuitCache(max_entries=_OVERLAY_ENTRIES)
         #: Finished responses for repeated point queries, keyed by
         #: store snapshot version (purged eagerly on version bumps).
         self.responses = ResponseCache(
@@ -476,19 +486,8 @@ class ServingEngine:
     def _deadline(
         self, request: Mapping[str, Any], start: float
     ) -> Optional[float]:
-        seconds = request.get(
-            "deadline_seconds", self.config.default_deadline_seconds
-        )
-        if seconds is None:
-            return None
-        try:
-            seconds = float(seconds)
-        except (TypeError, ValueError):
-            raise ServingError(
-                "bad-request",
-                f"deadline_seconds must be a number, got {seconds!r}",
-            ) from None
-        return start + seconds
+        seconds = _bounded(request, "deadline_seconds", math.inf)
+        return None if seconds is None else start + seconds
 
     def _check_deadline(
         self, deadline: Optional[float], stage: str
@@ -656,39 +655,78 @@ class ServingEngine:
         circuit = await self._with_engine(
             deadline, lambda: engine.compile_circuit(dnf)  # type: ignore[attr-defined]
         )
-        self.overlay.put(dnf, circuit, exact_only=False)
+        self._to_overlay(snapshot, dnf, circuit)
         self.stats.engine_fallbacks += 1
         return circuit, "engine-compile"
 
-    async def _submit(
-        self,
-        circuit: Circuit,
-        overrides: Optional[Dict[Any, Any]],
-        kind: str,
-        deadline: Optional[float],
-    ) -> Any:
-        assert self._batcher is not None
-        result = await self._batcher.wait(
-            self._batcher.submit(circuit, overrides, kind)
-        )
-        self._check_deadline(deadline, "awaiting the batched sweep")
-        return result
+    def _to_overlay(
+        self, snapshot: StoreSnapshot, dnf: DNF, circuit: Circuit
+    ) -> None:
+        """Keep a circuit this server compiled or refined for ``dnf``.
 
-    async def _submit_many(
+        When the snapshot or the overlay already held a (partial)
+        circuit for ``dnf``, the new one shadows it in
+        :meth:`_circuit_for`, so responses cached from the old one are
+        stale: the store's cached responses go.  (A live-cache
+        writeback also bumps the snapshot version, which keys them.)
+        """
+        if dnf in snapshot or dnf in self.overlay:
+            self.responses.purge_store(snapshot.name)
+        self.overlay.put(dnf, circuit, exact_only=False)
+
+    async def _rows(
         self,
-        circuit: Circuit,
-        scenario_list: List[Optional[Dict[Any, Any]]],
+        rows: List[Tuple[Circuit, Optional[Dict[Any, Any]]]],
         kind: str,
         deadline: Optional[float],
     ) -> List[Any]:
+        """Queue ``(circuit, overrides)`` rows on the micro-batcher,
+        park on them, then check the deadline."""
         assert self._batcher is not None
         futures = [
             self._batcher.submit(circuit, overrides, kind)
-            for overrides in scenario_list
+            for circuit, overrides in rows
         ]
         results = await self._batcher.wait(asyncio.gather(*futures))
         self._check_deadline(deadline, "awaiting the batched sweep")
         return list(results)
+
+    async def _circuit_rows(
+        self,
+        snapshot: StoreSnapshot,
+        dnf: DNF,
+        scenarios: List[Optional[Dict[Any, Any]]],
+        kind: str,
+        deadline: Optional[float],
+        *,
+        compile_cold: bool,
+        require_exact: bool = False,
+        refine: bool = False,
+        target_width: Optional[float] = None,
+    ) -> Tuple[Optional[Circuit], str, List[Any]]:
+        """Resolve the circuit (:meth:`_circuit_for`) and answer one row
+        per scenario: a ``refine`` round on a partial circuit when asked
+        (strategy ``+refined``), batched rows otherwise.  A ``None``
+        circuit (strategy ``engine``) answers no rows; the caller
+        degrades to :meth:`_engine_response`."""
+        circuit, strategy = await self._circuit_for(
+            snapshot,
+            dnf,
+            deadline,
+            compile_cold=compile_cold,
+            require_exact=require_exact,
+        )
+        if circuit is None:
+            return None, strategy, []
+        if refine and circuit.residuals and self.engine is not None:
+            circuit, bounds = await self._refine(
+                snapshot, dnf, circuit, scenarios, target_width, deadline
+            )
+            return circuit, strategy + "+refined", [
+                list(pair) for pair in bounds
+            ]
+        rows = [(circuit, overrides) for overrides in scenarios]
+        return circuit, strategy, await self._rows(rows, kind, deadline)
 
     def _base(
         self, snapshot: StoreSnapshot, strategy: str
@@ -700,50 +738,47 @@ class ServingEngine:
         }
 
     # -- response cache --------------------------------------------------
-    def _response_key(
-        self, snapshot: StoreSnapshot, op: str, *parts: Any
-    ) -> Optional[Tuple[Any, ...]]:
-        """The cache key for a request, or None when uncacheable
-        (cache disabled, or the caller passes no key on purpose).
+    def _lookup(
+        self,
+        snapshot: StoreSnapshot,
+        op: str,
+        *parts: Any,
+        bypass: bool = False,
+    ) -> Tuple[Optional[Tuple[Any, ...]], Optional[Dict[str, Any]]]:
+        """The request's cache key and its cached response, if any.
 
-        Besides the snapshot version the key carries the registry's
-        atom-probability version: circuits evaluate against the live
-        registry, so an in-place probability write changes answers
-        without touching the store file.
+        The key is None when the cache is disabled or the request
+        ``bypass``-es it (a ``refine`` request mutates the overlay
+        circuit between requests).  Besides the snapshot version the
+        key carries the registry's atom-probability version: circuits
+        evaluate against the live registry, so an in-place probability
+        write changes answers without touching the store file.
         """
-        if not self.responses.enabled:
-            return None
-        return (
+        if bypass or not self.responses.enabled:
+            return None, None
+        key = (
             snapshot.name,
             snapshot.version,
             self.stores.registry._atom_probs_version,
             op,
         ) + parts
-
-    def _cached_response(
-        self, key: Optional[Tuple[Any, ...]]
-    ) -> Optional[Dict[str, Any]]:
-        if key is None:
-            return None
         response = self.responses.get(key)
         if response is None:
             self.stats.response_misses += 1
-            return None
+            return key, None
         self.stats.response_hits += 1
         response["cached"] = True
-        return response
+        return key, response
 
-    def _store_response(
+    def _admit(
         self,
         key: Optional[Tuple[Any, ...]],
         response: Dict[str, Any],
-    ) -> None:
-        """Cache a finished response if its strategy is deterministic
-        (``top_k`` handles its own ``mixed`` strategy set inline)."""
-        if key is None:
-            return
-        if response.get("strategy") in _CACHEABLE_STRATEGIES:
+    ) -> Dict[str, Any]:
+        """Cache ``response`` under ``key`` (None: uncacheable); return it."""
+        if key is not None:
             self.responses.put(key, response)
+        return response
 
     # -- operations ------------------------------------------------------
     async def _op_evaluate(
@@ -753,36 +788,31 @@ class ServingEngine:
         dnf = self._lineage(request.get("lineage"))
         overrides = overrides_from_json(request.get("overrides"))
         epsilon = _bounded(request, "epsilon", 1.0)
-        key = self._response_key(
+        key, cached = self._lookup(
             snapshot, "evaluate", dnf, canonical_overrides(overrides)
         )
-        cached = self._cached_response(key)
         if cached is not None:
             return cached
         # A cold lineage with overrides needs a circuit (the engine
         # computes base probabilities only), so compile in that case.
-        circuit, strategy = await self._circuit_for(
+        circuit, strategy, values = await self._circuit_rows(
             snapshot,
             dnf,
+            [overrides],
+            "values",
             deadline,
             compile_cold=overrides is not None,
             require_exact=True,
         )
         if circuit is None:
-            result = await self._engine_compute(dnf, epsilon, deadline)
-            response = self._base(snapshot, "engine")
-            response.update(
-                value=result.probability,
-                converged=result.converged,
-                reason=result.reason,
+            return await self._engine_response(
+                snapshot, dnf, epsilon, deadline, "value",
+                lambda result: result.probability,
             )
-            return response
-        value = await self._submit(circuit, overrides, "values", deadline)
         response = self._base(snapshot, strategy)
-        response["value"] = value
+        response["value"] = values[0]
         response["exact"] = circuit.is_exact
-        self._store_response(key, response)
-        return response
+        return self._admit(key, response)
 
     async def _op_bounds(
         self, request: Mapping[str, Any], deadline: Optional[float]
@@ -793,48 +823,35 @@ class ServingEngine:
         epsilon = _bounded(request, "epsilon", 1.0)
         target_width = _bounded(request, "target_width", math.inf)
         refine = bool(request.get("refine", False))
-        # Refinement mutates the overlay circuit between requests, so
-        # only non-refining bounds are cacheable.
-        key = (
-            None
-            if refine
-            else self._response_key(
-                snapshot, "bounds", dnf, canonical_overrides(overrides)
-            )
+        key, cached = self._lookup(
+            snapshot,
+            "bounds",
+            dnf,
+            canonical_overrides(overrides),
+            bypass=refine,
         )
-        cached = self._cached_response(key)
         if cached is not None:
             return cached
-        circuit, strategy = await self._circuit_for(
+        circuit, strategy, results = await self._circuit_rows(
             snapshot,
             dnf,
+            [overrides],
+            "bounds",
             deadline,
             compile_cold=overrides is not None or refine,
+            refine=refine,
+            target_width=target_width,
         )
         if circuit is None:
-            result = await self._engine_compute(dnf, epsilon, deadline)
-            response = self._base(snapshot, "engine")
-            response.update(
-                bounds=[result.lower, result.upper],
-                converged=result.converged,
-                reason=result.reason,
+            return await self._engine_response(
+                snapshot, dnf, epsilon, deadline, "bounds",
+                lambda result: [result.lower, result.upper],
             )
-            return response
-        if refine and circuit.residuals and self.engine is not None:
-            circuit, pair = await self._refine(
-                snapshot, dnf, circuit, [overrides], target_width, deadline
-            )
-            bounds = list(pair[0])
-            strategy = strategy + "+refined"
-        else:
-            bounds = await self._submit(
-                circuit, overrides, "bounds", deadline
-            )
+        bounds = results[0]
         response = self._base(snapshot, strategy)
         response["bounds"] = bounds
         response["width"] = bounds[1] - bounds[0]
-        self._store_response(key, response)
-        return response
+        return self._admit(key, response)
 
     async def _op_gradients(
         self, request: Mapping[str, Any], deadline: Optional[float]
@@ -842,10 +859,9 @@ class ServingEngine:
         snapshot = self._snapshot(request)
         dnf = self._lineage(request.get("lineage"))
         overrides = overrides_from_json(request.get("overrides"))
-        key = self._response_key(
+        key, cached = self._lookup(
             snapshot, "gradients", dnf, canonical_overrides(overrides)
         )
-        cached = self._cached_response(key)
         if cached is not None:
             return cached
         circuit, strategy = await self._circuit_for(
@@ -863,8 +879,7 @@ class ServingEngine:
         self._check_deadline(deadline, "computing gradients")
         response = self._base(snapshot, strategy)
         response["gradients"] = gradients_to_json(gradients)
-        self._store_response(key, response)
-        return response
+        return self._admit(key, response)
 
     async def _op_what_if(
         self, request: Mapping[str, Any], deadline: Optional[float]
@@ -881,30 +896,29 @@ class ServingEngine:
                 "bad-request",
                 "what_if needs a numeric probabilities list",
             )
-        key = self._response_key(
+        key, cached = self._lookup(
             snapshot,
             "what_if",
             dnf,
             variable,
             tuple(float(p) for p in probabilities),
         )
-        cached = self._cached_response(key)
         if cached is not None:
             return cached
-        circuit, strategy = await self._circuit_for(
-            snapshot, dnf, deadline, compile_cold=True, require_exact=True
-        )
-        assert circuit is not None
-        scenarios = what_if_scenarios(variable, probabilities)
-        values = await self._submit_many(
-            circuit, list(scenarios), "values", deadline
+        _, strategy, values = await self._circuit_rows(
+            snapshot,
+            dnf,
+            list(what_if_scenarios(variable, probabilities)),
+            "values",
+            deadline,
+            compile_cold=True,
+            require_exact=True,
         )
         response = self._base(snapshot, strategy)
         response["variable"] = value_to_json(variable)
         response["probabilities"] = [float(p) for p in probabilities]
         response["values"] = values
-        self._store_response(key, response)
-        return response
+        return self._admit(key, response)
 
     async def _op_sweep(
         self, request: Mapping[str, Any], deadline: Optional[float]
@@ -920,41 +934,31 @@ class ServingEngine:
             )
         refine = bool(request.get("refine", False)) and kind == "bounds"
         target_width = _bounded(request, "target_width", math.inf)
-        # Refinement mutates the overlay circuit, so only plain sweeps
-        # are cacheable.
-        key = (
-            None
-            if refine
-            else self._response_key(
-                snapshot,
-                "sweep",
-                dnf,
-                kind,
-                tuple(canonical_overrides(s) for s in scenarios),
-            )
+        key, cached = self._lookup(
+            snapshot,
+            "sweep",
+            dnf,
+            kind,
+            tuple(canonical_overrides(s) for s in scenarios),
+            bypass=refine,
         )
-        cached = self._cached_response(key)
         if cached is not None:
             return cached
-        circuit, strategy = await self._circuit_for(
-            snapshot, dnf, deadline, compile_cold=True
+        _, strategy, results = await self._circuit_rows(
+            snapshot,
+            dnf,
+            scenarios,
+            kind,
+            deadline,
+            compile_cold=True,
+            refine=refine,
+            target_width=target_width,
         )
-        assert circuit is not None
         response = self._base(snapshot, strategy)
-        if refine and circuit.residuals and self.engine is not None:
-            circuit, bounds = await self._refine(
-                snapshot, dnf, circuit, scenarios, target_width, deadline
-            )
-            response["strategy"] = strategy + "+refined"
-            response["results"] = [list(pair) for pair in bounds]
-        else:
-            response["results"] = await self._submit_many(
-                circuit, scenarios, kind, deadline
-            )
+        response["results"] = results
         response["kind"] = kind
         response["scenario_count"] = len(scenarios)
-        self._store_response(key, response)
-        return response
+        return self._admit(key, response)
 
     async def _op_top_k(
         self, request: Mapping[str, Any], deadline: Optional[float]
@@ -972,21 +976,20 @@ class ServingEngine:
             raise ServingError(
                 "bad-request", f"k must be a positive integer, got {k!r}"
             )
+        k = min(k, len(dnfs))
         overrides = overrides_from_json(request.get("overrides"))
-        key = self._response_key(
+        key, cached = self._lookup(
             snapshot,
             "top_k",
             tuple(dnfs),
-            min(k, len(dnfs)),
+            k,
             canonical_overrides(overrides),
             tuple(answers),
         )
-        cached = self._cached_response(key)
         if cached is not None:
             return cached
         strategies = set()
-        futures = []
-        assert self._batcher is not None
+        rows = []
         for dnf in dnfs:
             circuit, strategy = await self._circuit_for(
                 snapshot, dnf, deadline, compile_cold=True,
@@ -994,36 +997,32 @@ class ServingEngine:
             )
             assert circuit is not None
             strategies.add(strategy)
-            futures.append(
-                self._batcher.submit(circuit, overrides, "values")
-            )
-        values = list(await self._batcher.wait(asyncio.gather(*futures)))
-        self._check_deadline(deadline, "awaiting the batched sweep")
-        ranked = sorted(
-            range(len(values)), key=lambda i: (-values[i], i)
-        )[: min(k, len(values))]
-        strategy = (
-            strategies.pop() if len(strategies) == 1 else "mixed"
+            rows.append((circuit, overrides))
+        values = await self._rows(rows, "values", deadline)
+        ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        response = self._base(
+            snapshot, strategies.pop() if len(strategies) == 1 else "mixed"
         )
-        response = self._base(snapshot, strategy)
-        response["k"] = min(k, len(values))
+        response["k"] = k
         response["answers"] = [
-            [value_to_json(answers[i]), values[i]] for i in ranked
+            [value_to_json(answers[i]), values[i]] for i in ranked[:k]
         ]
-        # A "mixed" strategy set is cacheable as long as every member
-        # is deterministic; _store_response only knows single strategies.
-        if key is not None and strategies <= _CACHEABLE_STRATEGIES:
-            self.responses.put(key, response)
-        return response
+        return self._admit(key, response)
 
     # -- degradation helpers ---------------------------------------------
-    async def _engine_compute(
+    async def _engine_response(
         self,
+        snapshot: StoreSnapshot,
         dnf: DNF,
         epsilon: Optional[float],
         deadline: Optional[float],
-    ) -> Any:
-        """Cold-path direct computation (confidence + bounds)."""
+        field: str,
+        pick: Callable[[Any], Any],
+    ) -> Dict[str, Any]:
+        """The cold ``engine`` answer: ``pick(result)`` of a direct
+        engine computation, its ``converged`` and ``reason``.  Never
+        cached: it may have used the (seeded or not) MC rung, and its
+        convergence is budget-dependent."""
         engine = self.engine
         assert engine is not None
 
@@ -1036,9 +1035,13 @@ class ServingEngine:
 
         result = await self._with_engine(deadline, work)
         if getattr(result, "circuit", None) is not None:
-            self.overlay.put(dnf, result.circuit, exact_only=False)
+            self._to_overlay(snapshot, dnf, result.circuit)
         self.stats.engine_fallbacks += 1
-        return result
+        response = self._base(snapshot, "engine")
+        response[field] = pick(result)
+        response["converged"] = result.converged
+        response["reason"] = result.reason
+        return response
 
     async def _refine(
         self,
@@ -1067,20 +1070,13 @@ class ServingEngine:
                 scenarios,
                 compile_subcircuit=engine.compile_circuit,  # type: ignore[attr-defined]
                 target_width=target_width or 0.0,
-                max_rounds=self.config.refine_rounds,
+                max_rounds=_REFINE_ROUNDS,
             )
 
         refined, bounds = await self._with_engine(deadline, work)
         if refined is not circuit:
-            self.overlay.put(dnf, refined, exact_only=False)
-            if not self.stores.writeback(snapshot.name, dnf, refined):
-                # File snapshots are immutable, so the progress lives
-                # only in the overlay — drop the store's cached
-                # responses, which would otherwise keep replaying the
-                # pre-refinement bounds.  (Live-cache writebacks bump
-                # the snapshot version instead, which purges on the
-                # next request.)
-                self.responses.purge_store(snapshot.name)
+            self._to_overlay(snapshot, dnf, refined)
+            self.stores.writeback(snapshot.name, dnf, refined)
             self.stats.refinements += 1
         return refined, bounds
 

@@ -1,8 +1,11 @@
 """Response cache for repeated point queries against immutable snapshots.
 
-The serving tier's answers are pure functions of ``(store snapshot
-version, circuit, canonicalized request arguments)`` — a store snapshot
-never mutates, and circuit evaluation is deterministic.  Repeated point
+The serving tier's circuit answers (strategies ``store``, ``overlay``,
+``engine-compile`` and ``mixed``) are pure functions of ``(store
+snapshot version, circuit, canonicalized request arguments)`` — a store
+snapshot never mutates, and circuit evaluation is deterministic; those
+are the answers the engine caches.  Direct ``engine`` answers and
+``refine`` requests never reach the cache.  Repeated point
 queries (the dominant fleet traffic shape: many clients asking the same
 question of the same store) can therefore be answered from a cache
 without touching a kernel, **bit-identically** by construction: the

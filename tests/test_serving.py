@@ -16,6 +16,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.serving.engine as serving_engine
@@ -1004,6 +1006,156 @@ class TestResponseCache:
         assert "cached" not in after
         expected = served["cache"].get(dnf(*L1)).evaluate({"x0": 0.5})
         assert after["value"] == expected != before["value"]
+
+
+# ----------------------------------------------------------------------
+# Response cache transparency: a random request script answers alike
+# with and without the cache
+# ----------------------------------------------------------------------
+BIG = (
+    ("x0", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "x4"),
+    ("x4", "x5"), ("x5", "x6"), ("x6", "x7"), ("x7", "x8"),
+    ("x8", "x9"), ("x9", "x0"), ("x0", "x5"), ("x2", "x7"),
+)
+SCRIPT_LINEAGES = [dnf(*L1), dnf(*L2), dnf(*L3), dnf(*BIG), dnf(*COLD)]
+SCRIPT_LINEAGE = st.sampled_from(SCRIPT_LINEAGES)
+SCRIPT_PROBABILITY = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+SCRIPT_VARIABLE = st.sampled_from([f"x{i}" for i in range(10)])
+SCRIPT_OVERRIDES = st.none() | st.dictionaries(
+    SCRIPT_VARIABLE, SCRIPT_PROBABILITY, min_size=1, max_size=2
+)
+SCRIPT_REQUEST = st.one_of(
+    st.tuples(st.just("evaluate"), SCRIPT_LINEAGE, SCRIPT_OVERRIDES),
+    st.tuples(
+        st.just("bounds"), SCRIPT_LINEAGE, SCRIPT_OVERRIDES, st.booleans()
+    ),
+    st.tuples(st.just("gradients"), SCRIPT_LINEAGE, SCRIPT_OVERRIDES),
+    st.tuples(
+        st.just("what_if"),
+        SCRIPT_LINEAGE,
+        SCRIPT_VARIABLE,
+        st.lists(SCRIPT_PROBABILITY, min_size=1, max_size=3),
+    ),
+    st.tuples(
+        st.just("sweep"),
+        SCRIPT_LINEAGE,
+        st.lists(SCRIPT_OVERRIDES, min_size=1, max_size=3),
+        st.sampled_from(["values", "bounds"]),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("top_k"),
+        st.lists(SCRIPT_LINEAGE, min_size=1, max_size=3),
+        st.integers(1, 3),
+        SCRIPT_OVERRIDES,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def script_store(tmp_path_factory):
+    """Three exact circuits and one partial one in a store file."""
+    registry = make_registry()
+    engine = ConfidenceEngine(registry)
+    cache = CircuitCache()
+    for lineage in SCRIPT_LINEAGES[:3]:
+        cache.put(lineage, engine.compile_circuit(lineage))
+    partial = engine.compile_circuit(dnf(*BIG), max_nodes=8)
+    assert partial.residuals, "need a truncated circuit"
+    cache.put(dnf(*BIG), partial, exact_only=False)
+    path = tmp_path_factory.mktemp("script") / "store.bin"
+    cache.save(path)
+    return registry, path
+
+
+def play(client, request):
+    op, *args = request
+    if op == "evaluate":
+        return client.evaluate(args[0], overrides=args[1])
+    if op == "bounds":
+        return client.bounds(args[0], overrides=args[1], refine=args[2])
+    if op == "gradients":
+        return client.gradients(args[0], overrides=args[1])
+    if op == "what_if":
+        return client.what_if(*args)
+    if op == "sweep":
+        return client.sweep(args[0], args[1], kind=args[2], refine=args[3])
+    return client.top_k(args[0], args[1], overrides=args[2])
+
+
+#: The strategies a cache hit may replay.  A hit replays the first
+#: answer's strategy, which may name a cold compile (``engine-compile``,
+#: or ``mixed`` for a top-k) whose circuit an uncached engine later
+#: reports as ``overlay``.
+REPLAYABLE = {"store", "overlay", "engine-compile", "mixed"}
+
+
+class TestResponseCacheTransparency:
+    """The response cache is invisible: a random script of requests
+    (every op, refining or not, over stored exact and partial circuits
+    and a cold lineage) answers the same on an engine with the cache
+    and one without, and no ``engine`` answer is ever cached.  A hit
+    matches in every field but ``strategy`` (see :data:`REPLAYABLE`);
+    a miss matches in every field."""
+
+    def engine(self, script_store, entries):
+        registry, path = script_store
+        stores = CircuitStoreService(registry, {"main": path})
+        serving = ServingEngine(
+            stores,
+            ConfidenceEngine(registry),
+            ServingConfig(response_cache_entries=entries),
+        )
+        return serving, ServingClient(serving)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=st.lists(SCRIPT_REQUEST, min_size=1, max_size=12))
+    def test_cache_changes_no_answer(self, script_store, script):
+        cached, cached_client = self.engine(script_store, 1024)
+        plain, plain_client = self.engine(script_store, 0)
+
+        async def answer(client, request):
+            try:
+                return await play(client, request)
+            except ServingError as exc:
+                return {"error": exc.code}
+
+        async def both():
+            for request in script:
+                want = await answer(plain_client, request)
+                got = await answer(cached_client, request)
+                if got.pop("cached", False):
+                    assert got.pop("strategy") in REPLAYABLE
+                    want.pop("strategy", None)
+                assert got == want, request
+                assert all(
+                    response["strategy"] != "engine"
+                    for response in cached.responses._entries.values()
+                )
+
+        run(both())
+        assert len(plain.responses) == 0
+
+    def test_exact_compile_drops_stale_partial_answers(self, script_store):
+        # evaluate needs an exact circuit, so a partial stored lineage
+        # compiles one into the overlay, which from then on answers
+        # bounds; the partial answer cached before must not replay.
+        serving, client = self.engine(script_store, 1024)
+        lineage = dnf(*BIG)
+
+        async def script():
+            before = await client.bounds(lineage)
+            await client.evaluate(lineage, overrides={"x0": 0.3})
+            return before, await client.bounds(lineage)
+
+        before, after = run(script())
+        assert before["strategy"] == "store" and before["width"] > 0
+        assert "cached" not in after
+        assert after["strategy"] == "overlay" and after["width"] == 0.0
 
 
 # ----------------------------------------------------------------------

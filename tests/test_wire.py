@@ -208,6 +208,19 @@ class TestInputErrors:
         assert info.value.code == "bad-request"
         assert info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "deadline", ['"5"', "true", "NaN", "-1", "Infinity"]
+    )
+    def test_bad_deadline_is_bad_request(self, app, deadline):
+        # Raw JSON text: NaN and Infinity are tokens json.loads accepts.
+        body = (
+            f'{{"lineage": {json.dumps(wire(*L1))}, '
+            f'"deadline_seconds": {deadline}}}'
+        ).encode()
+        status, _, raw = run(app.exchange("POST", "/v1/evaluate", body))
+        assert status == 400
+        assert json.loads(raw)["error"]["code"] == "bad-request"
+
     def test_valid_epsilon_still_answers(self, app):
         # A lineage no other test compiles into the overlay.
         lineage = dnf(("x5", "x7"), ("x8",))
