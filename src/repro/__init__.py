@@ -86,7 +86,7 @@ from .db.explain import InfluenceReport, rank_influence
 from .db.session import BoundsSnapshot, ProbDB, QueryResult
 from .db.topk import RankedAnswer
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "ABSOLUTE",

@@ -123,11 +123,9 @@ class SubGoal:
 
     def variables(self) -> List[Var]:
         """Variables in term order, duplicates removed."""
-        seen: List[Var] = []
-        for term in self.terms:
-            if isinstance(term, Var) and term not in seen:
-                seen.append(term)
-        return seen
+        return list(
+            dict.fromkeys(term for term in self.terms if isinstance(term, Var))
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(term) for term in self.terms)
@@ -196,7 +194,7 @@ class ConjunctiveQuery:
         # Classifier memos: a query's structure never changes.
         self._hierarchical: Optional[bool] = None
         self._inequality_homes: Optional[Tuple[Tuple[int, ...], ...]] = None
-        body_vars = self.variables()
+        body_vars = set(self.variables())
         for var in self.head:
             if var not in body_vars:
                 raise ValueError(f"head variable {var!r} not in query body")
@@ -211,12 +209,15 @@ class ConjunctiveQuery:
     # Structure
     # ------------------------------------------------------------------
     def variables(self) -> List[Var]:
-        seen: List[Var] = []
-        for subgoal in self.subgoals:
-            for var in subgoal.variables():
-                if var not in seen:
-                    seen.append(var)
-        return seen
+        """Body variables in subgoal and term order, duplicates removed."""
+        return list(
+            dict.fromkeys(
+                term
+                for subgoal in self.subgoals
+                for term in subgoal.terms
+                if isinstance(term, Var)
+            )
+        )
 
     def non_head_variables(self) -> List[Var]:
         return [var for var in self.variables() if var not in self.head]

@@ -209,9 +209,21 @@ def scan(
     return rows
 
 
-def evaluate(query: ConjunctiveQuery, database: Database) -> List[QueryAnswer]:
+def evaluate(
+    query: ConjunctiveQuery,
+    database: Database,
+    *,
+    scans: Optional[Sequence[List[Tuple[Values, Formula]]]] = None,
+) -> List[QueryAnswer]:
     """All distinct answers of ``query``, in order of first derivation,
-    with ``∨``-merged lineage (built on first read)."""
+    with ``∨``-merged lineage (built on first read).
+
+    ``scans`` holds, per subgoal in order, the rows :func:`scan` gives
+    it under :func:`local_selections`, for a caller that reads those
+    rows too (SPROUT partitions them): the join then uses them instead
+    of scanning again.  Without it, each subgoal is scanned here, and a
+    join that runs empty stops before scanning the rest.
+    """
     selections = local_selections(query)
     joins = [
         inequality
@@ -225,7 +237,11 @@ def evaluate(query: ConjunctiveQuery, database: Database) -> List[QueryAnswer]:
     slots: Dict[Var, int] = {}
     partials: List[Tuple[Values, Derivation]] = [((), ())]
     for index, subgoal in enumerate(query.subgoals):
-        rows = scan(subgoal, database[subgoal.relation], selections[index])
+        rows = (
+            scan(subgoal, database[subgoal.relation], selections[index])
+            if scans is None
+            else scans[index]
+        )
         # Join on variables bound earlier; bind the subgoal's new ones.
         # Repeated variables are keyed or bound once: the scan already
         # equated their other positions.

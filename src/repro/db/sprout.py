@@ -9,13 +9,14 @@ lineage.
 
 This module reproduces that operator in one pass over the data:
 
-* the distinct answers come from :func:`~repro.db.engine.evaluate`,
-  which builds lineage only when it is read — here it never is;
-* each subgoal's relation is scanned once by the same
-  :func:`~repro.db.engine.scan` (constants, repeated variables and
-  local inequalities as row filters), each surviving row reduced to its
-  probability, and the rows partitioned by the head values they bind,
-  in row order;
+* each subgoal's relation is scanned once, by
+  :func:`~repro.db.engine.scan` (constants, repeated variables and local
+  inequalities as row filters);
+* the distinct answers come from :func:`~repro.db.engine.evaluate`
+  joining those same scanned rows (``scans=``); it builds lineage only
+  when it is read, and here it never is;
+* each scanned row is reduced to its probability, and each subgoal's
+  rows are partitioned by the head values they bind, in row order;
 * an answer's confidence is then computed on its own partitions by
   recursive decomposition of the (head-instantiated, hence Boolean)
   query:
@@ -24,25 +25,27 @@ This module reproduces that operator in one pass over the data:
     probabilities multiply (independent-and on disjoint relations — no
     self-joins means distinct relations, hence disjoint tuple variables);
   - within a group, a *root* variable occurring in every subgoal is
-    eliminated: distinct root values touch disjoint sets of tuples, so the
-    group probability is an independent-or over the root's candidate
-    values;
+    eliminated: each member's rows are partitioned by their root value
+    once, and distinct root values touch disjoint sets of tuples, so the
+    group probability is an independent-or over the candidate values,
+    each recursing on its own partitions;
   - a fully bound subgoal contributes the probability that at least one
     matching row is present.
 
 The recursion mirrors SPROUT's safe plans: its cost is polynomial in the
-data (each level partitions the remaining rows by the root value).  A
-non-hierarchical query (or one with self-joins or inequality joins) is
-rejected with :class:`UnsafeQueryError` — that is precisely when the
-d-tree algorithm is needed.  So is any input whose candidate rows are not
-independent: every row's lineage must be ``⊤`` or an atom over a variable
-no other candidate row mentions (two alternatives of one BID block, or a
-row shared by two relations, are correlated).
+data, since each level partitions the remaining rows by the root value
+in one pass over them.  A non-hierarchical query (or one with self-joins
+or inequality joins) is rejected with :class:`UnsafeQueryError` — that
+is precisely when the d-tree algorithm is needed.  So is any input whose
+candidate rows are not independent: every row's lineage must be ``⊤`` or
+an atom over a variable no other candidate row mentions (two
+alternatives of one BID block, or a row shared by two relations, are
+correlated).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from ..core.formulas import AtomNode, Formula, TrueNode
 from ..core.variables import VariableRegistry
@@ -51,6 +54,9 @@ from .database import Database
 from .engine import evaluate, local_selections, scan, values_at
 
 __all__ = ["sprout_confidence", "UnsafeQueryError"]
+
+#: A candidate row: its values and its probability.
+_Row = Tuple[Tuple[Hashable, ...], float]
 
 
 class UnsafeQueryError(ValueError):
@@ -89,11 +95,7 @@ class _Goal:
 
     __slots__ = ("terms", "rows")
 
-    def __init__(
-        self,
-        terms: Sequence,
-        rows: List[Tuple[Tuple[Hashable, ...], float]],
-    ) -> None:
+    def __init__(self, terms: Sequence, rows: List[_Row]) -> None:
         self.terms = tuple(terms)
         self.rows = rows
 
@@ -104,31 +106,31 @@ class _Goal:
             if isinstance(term, Var) and term not in binding
         }
 
-    def restrict(self, var: Var, value: Hashable) -> "_Goal":
-        positions = [
-            position
-            for position, term in enumerate(self.terms)
-            if term == var
-        ]
-        rows = [
-            row
-            for row in self.rows
-            if all(row[0][position] == value for position in positions)
-        ]
-        return _Goal(self.terms, rows)
+    def partition(self, var: Var) -> Dict[Hashable, List[_Row]]:
+        """The rows by their value of ``var``, each list in row order.
 
-    def values_of(self, var: Var) -> Set[Hashable]:
+        A row is keyed by ``var``'s first position and kept only if it
+        holds the key at every position of ``var``; a key whose rows
+        all fail that check maps to no rows.
+        """
         positions = [
             position
             for position, term in enumerate(self.terms)
             if term == var
         ]
-        position = positions[0]
-        return {row[0][position] for row in self.rows}
+        first = positions[0]
+        groups: Dict[Hashable, List[_Row]] = {}
+        for row in self.rows:
+            values = row[0]
+            value = values[first]
+            group = groups.setdefault(value, [])
+            if all(values[position] == value for position in positions):
+                group.append(row)
+        return groups
 
 
 def _group_probability(
-    goals: List[_Goal], binding: Dict[Var, Hashable], depth: int
+    goals: List[_Goal], binding: Dict[Var, Hashable]
 ) -> float:
     """Probability of a connected group of subgoals (all must match)."""
     # Split into connected components on the *unbound* variables.
@@ -176,15 +178,12 @@ def _group_probability(
         component += 1
 
     for comp in range(component):
-        members = [
-            goal
-            for index, goal in enumerate(open_goals)
+        indices = [
+            index
+            for index in range(len(open_goals))
             if assigned[index] == comp
         ]
-        member_vars: Set[Var] = set()
-        for index, goal in enumerate(open_goals):
-            if assigned[index] == comp:
-                member_vars |= open_vars[index]
+        members = [open_goals[index] for index in indices]
 
         if len(members) == 1:
             # A lone subgoal holds iff at least one of its (independent)
@@ -197,39 +196,32 @@ def _group_probability(
                 return 0.0
             continue
 
-        # Root variable: occurs in every member subgoal (hierarchy).
-        roots = [
-            var
-            for var in member_vars
-            if all(var in goal.unbound_variables(binding) for goal in members)
-        ]
+        # Root variable: unbound in every member subgoal (hierarchy).
+        roots = set.intersection(*(open_vars[index] for index in indices))
         if not roots:
             raise UnsafeQueryError(
                 "no root variable for a connected subgoal group — "
                 "the query is not hierarchical"
             )
-        root = sorted(roots, key=lambda var: var.name)[0]
+        root = min(roots, key=lambda var: var.name)
 
-        # Candidate values: the root must match in every member subgoal.
-        candidate_values: Optional[Set[Hashable]] = None
-        for goal in members:
-            values = goal.values_of(root)
-            candidate_values = (
-                values
-                if candidate_values is None
-                else candidate_values & values
-            )
-        assert candidate_values is not None
+        # Each member's rows by root value, once; a candidate value
+        # must occur in every member subgoal.
+        partitions = [goal.partition(root) for goal in members]
+        candidate_values = set(partitions[0])
+        for groups in partitions[1:]:
+            candidate_values = candidate_values & set(groups)
 
         # Distinct root values touch disjoint tuples: independent-or.
         miss = 1.0
         for value in sorted(candidate_values, key=repr):
-            restricted = [goal.restrict(root, value) for goal in members]
+            restricted = [
+                _Goal(goal.terms, groups[value])
+                for goal, groups in zip(members, partitions)
+            ]
             sub_binding = dict(binding)
             sub_binding[root] = value
-            miss *= 1.0 - _group_probability(
-                restricted, sub_binding, depth + 1
-            )
+            miss *= 1.0 - _group_probability(restricted, sub_binding)
         probability *= 1.0 - miss
         if probability == 0.0:
             return 0.0
@@ -266,29 +258,35 @@ def sprout_confidence(
                 "operator covers equality joins and local selections only"
             )
 
+    # One scan per subgoal, shared by the answer join and the
+    # partitions below.
+    scans = [
+        scan(subgoal, database[subgoal.relation], selections)
+        for subgoal, selections in zip(
+            query.subgoals, local_selections(query)
+        )
+    ]
     # Distinct answers, in evaluation order; their lineage is never read.
-    answers = [answer.values for answer in evaluate(query, database)]
+    answers = [
+        answer.values for answer in evaluate(query, database, scans=scans)
+    ]
     if not answers:
         return []
 
-    # One scan per subgoal, partitioned by the head values it binds.
+    # Each subgoal's rows, partitioned by the head values they bind.
     registry = database.registry
     head_index = {var: index for index, var in enumerate(query.head)}
     used: Set[int] = set()
     partitions = []
-    for subgoal, selections in zip(
-        query.subgoals, local_selections(query)
-    ):
+    for subgoal, rows in zip(query.subgoals, scans):
         positions: Dict[Var, int] = {}
         for position, term in enumerate(subgoal.terms):
             if term in head_index and term not in positions:
                 positions[term] = position
         row_key = values_at(list(positions.values()))
         answer_key = values_at([head_index[var] for var in positions])
-        groups: Dict[Tuple[Hashable, ...], List[Tuple[tuple, float]]] = {}
-        for values, lineage in scan(
-            subgoal, database[subgoal.relation], selections
-        ):
+        groups: Dict[Tuple[Hashable, ...], List[_Row]] = {}
+        for values, lineage in rows:
             groups.setdefault(row_key(values), []).append(
                 (values, _row_probability(lineage, registry, used))
             )
@@ -301,5 +299,5 @@ def sprout_confidence(
             for terms, answer_key, groups in partitions
         ]
         binding: Dict[Var, Hashable] = dict(zip(query.head, values))
-        results.append((values, _group_probability(goals, binding, 0)))
+        results.append((values, _group_probability(goals, binding)))
     return results

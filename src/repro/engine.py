@@ -514,7 +514,8 @@ def _compute_round(
     deadline when the round starts; each item gets the rest of it,
     clamped at 0.
     """
-    started = clock.monotonic()
+    # The clock matters only against a deadline.
+    started = 0.0 if deadline_seconds is None else clock.monotonic()
     out: List[Tuple[int, EngineResult]] = []
     for index, dnf, budget in items:
         remaining = (
@@ -737,7 +738,9 @@ class BatchComputation:
         # Otherwise the refinement cap is the *argument*: the
         # engine-config max_steps applies per compute call, not here.
         self.max_steps = max_steps
-        self._started = clock.monotonic()
+        self._started = (
+            0.0 if self.deadline_seconds is None else clock.monotonic()
+        )
         self.dnfs: List[DNF] = [
             lineage.to_dnf() if isinstance(lineage, Formula) else lineage
             for lineage in lineages
@@ -1422,7 +1425,10 @@ class ConfidenceEngine:
             executor_kind=executor_kind,
             run_to_guarantee=max_total_steps is None,
         ) as batch:
-            batch.run(max_total_steps)
+            if max_total_steps is not None:
+                # Without a shared budget the first pass ran every item
+                # to its guarantee: nothing is left to refine.
+                batch.run(max_total_steps)
             self._finalize_batch(batch)
             self._attach_batch_circuits(batch)
             return list(batch.results)

@@ -442,3 +442,230 @@ class TestDifferential:
                 answer.lineage, db.registry
             )
             assert abs(result.probability - expected) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# The partition-based grouping against the restrict-based one it replaced
+# ----------------------------------------------------------------------
+def _restrict_group_probability(goals, binding):
+    """The grouping SPROUT used to run: for each candidate root value it
+    rescanned every member's rows.  ``goals`` are ``(terms, rows)``."""
+
+    def unbound(terms):
+        return {t for t in terms if isinstance(t, Var) and t not in binding}
+
+    def at_least_one(rows):
+        miss = 1.0
+        for _values, row_probability in rows:
+            miss *= 1.0 - row_probability
+        return 1.0 - miss
+
+    probability = 1.0
+    open_goals, open_vars = [], []
+    for terms, rows in goals:
+        if unbound(terms):
+            open_goals.append((terms, rows))
+            open_vars.append(unbound(terms))
+            continue
+        probability *= at_least_one(rows)
+        if probability == 0.0:
+            return 0.0
+    assigned = [-1] * len(open_goals)
+    component = 0
+    for start in range(len(open_goals)):
+        if assigned[start] >= 0:
+            continue
+        frontier = set(open_vars[start])
+        assigned[start] = component
+        changed = True
+        while changed:
+            changed = False
+            for other in range(len(open_goals)):
+                if assigned[other] < 0 and open_vars[other] & frontier:
+                    assigned[other] = component
+                    frontier |= open_vars[other]
+                    changed = True
+        component += 1
+    for comp in range(component):
+        members = [g for i, g in enumerate(open_goals) if assigned[i] == comp]
+        if len(members) == 1:
+            probability *= at_least_one(members[0][1])
+            if probability == 0.0:
+                return 0.0
+            continue
+        member_vars = set().union(
+            *(v for i, v in enumerate(open_vars) if assigned[i] == comp)
+        )
+        roots = [
+            var for var in member_vars
+            if all(var in unbound(terms) for terms, _rows in members)
+        ]
+        if not roots:
+            raise UnsafeQueryError("not hierarchical")
+        root = sorted(roots, key=lambda var: var.name)[0]
+
+        def positions(terms):
+            return [p for p, term in enumerate(terms) if term == root]
+
+        candidates = None
+        for terms, rows in members:
+            first = positions(terms)[0]
+            values = {row[0][first] for row in rows}
+            candidates = values if candidates is None else candidates & values
+        miss = 1.0
+        for value in sorted(candidates, key=repr):
+            restricted = [
+                (terms, [
+                    row for row in rows
+                    if all(row[0][p] == value for p in positions(terms))
+                ])
+                for terms, rows in members
+            ]
+            miss *= 1.0 - _restrict_group_probability(
+                restricted, {**binding, root: value}
+            )
+        probability *= 1.0 - miss
+        if probability == 0.0:
+            return 0.0
+    return probability
+
+
+def restrict_sprout(query, db):
+    """SPROUT with the restrict-based grouping, over each answer's rows."""
+    from repro.db.engine import local_selections, scan
+    from repro.db.sprout import _row_probability
+
+    scans = [
+        [
+            (values, _row_probability(lineage, db.registry, set()))
+            for values, lineage in scan(subgoal, db[subgoal.relation], local)
+        ]
+        for subgoal, local in zip(query.subgoals, local_selections(query))
+    ]
+    results = []
+    for answer in evaluate(query, db):
+        binding = dict(zip(query.head, answer.values))
+        goals = [
+            (subgoal.terms, [
+                row for row in rows
+                if all(
+                    row[0][p] == binding[term]
+                    for p, term in enumerate(subgoal.terms)
+                    if term in binding
+                )
+            ])
+            for subgoal, rows in zip(query.subgoals, scans)
+        ]
+        results.append(
+            (answer.values, _restrict_group_probability(goals, binding))
+        )
+    return results
+
+
+class TestPartitionGrouping:
+    @given(small_databases(), hierarchical_queries())
+    @settings(**DIFFERENTIAL)
+    def test_matches_restrict_grouping_exactly(self, db, query):
+        assert sprout_confidence(query, db) == restrict_sprout(query, db)
+
+    def test_many_root_values_match_bit_for_bit(self):
+        # Enough root values, and probabilities low enough that the
+        # answer is far from 1, that walking the values in another order
+        # changes the result's last bits.
+        rng = random.Random(11)
+        reg = VariableRegistry()
+        db = Database(reg)
+        for name in ("R", "S"):
+            rows = {
+                (rng.randint(1, 12), rng.randint(1, 4)): rng.uniform(0.02, 0.3)
+                for _ in range(30)
+            }
+            db.add(Relation.tuple_independent(
+                name, ["a", "b"], list(rows.items()), reg
+            ))
+        a, b, c = Var("A"), Var("B"), Var("C")
+        for head in ([], [b]):
+            query = ConjunctiveQuery(
+                head, [SubGoal("R", [a, b]), SubGoal("S", [a, c])]
+            )
+            assert sprout_confidence(query, db) == restrict_sprout(query, db)
+
+    def test_root_repeated_inside_one_subgoal(self):
+        reg = VariableRegistry()
+        db = Database(reg)
+        db.add(Relation.tuple_independent(
+            "R", ["a", "a2", "b"],
+            [((1, 1, 5), 0.5), ((1, 2, 6), 0.9), ((2, 2, 5), 0.4),
+             ((1, 1, 7), 0.3)],
+            reg,
+        ))
+        db.add(Relation.tuple_independent(
+            "S", ["a", "c"], [((1, 8), 0.6), ((2, 8), 0.7), ((3, 8), 0.2)],
+            reg,
+        ))
+        a, b, c = Var("A"), Var("B"), Var("C")
+        query = ConjunctiveQuery(
+            [], [SubGoal("R", [a, a, b]), SubGoal("S", [a, c])]
+        )
+        [(values, probability)] = sprout_confidence(query, db)
+        assert values == ()
+        assert [(values, probability)] == restrict_sprout(query, db)
+        [answer] = evaluate(query, db)
+        assert probability == pytest.approx(
+            brute_force_formula_probability(answer.lineage, reg), abs=1e-12
+        )
+
+    def test_candidate_value_whose_rows_fail_the_repeated_check(self):
+        from repro.db.sprout import _Goal, _group_probability
+
+        a, b, c = Var("A"), Var("B"), Var("C")
+        r_rows = [((1, 2, 1), 0.5), ((2, 2, 1), 0.6)]
+        s_rows = [((1, 3), 0.4), ((2, 3), 0.7)]
+        r_goal = _Goal((a, a, b), r_rows)
+        # Value 1 is a key of R's partition, but its only row holds 2 at
+        # A's second position: the value keeps an empty row list.
+        assert r_goal.partition(a) == {1: [], 2: [((2, 2, 1), 0.6)]}
+        probability = _group_probability([r_goal, _Goal((a, c), s_rows)], {})
+        assert probability == _restrict_group_probability(
+            [((a, a, b), r_rows), ((a, c), s_rows)], {}
+        )
+        assert probability == pytest.approx(0.6 * 0.7, abs=1e-15)
+
+    def test_each_subgoal_is_scanned_once(self, monkeypatch):
+        import repro.db.engine as db_engine
+        import repro.db.sprout as sprout
+
+        scanned = []
+
+        def counting(original):
+            def wrapper(subgoal, relation, selections):
+                scanned.append(subgoal)
+                return original(subgoal, relation, selections)
+            return wrapper
+
+        monkeypatch.setattr(sprout, "scan", counting(sprout.scan))
+        monkeypatch.setattr(db_engine, "scan", counting(db_engine.scan))
+        db = random_hierarchical_instance(3)
+        a, b, c = Var("A"), Var("B"), Var("C")
+        query = ConjunctiveQuery(
+            [a], [SubGoal("R", [a, b]), SubGoal("S", [a, c])]
+        )
+        assert sprout_confidence(query, db)
+        assert [id(subgoal) for subgoal in scanned] == [
+            id(subgoal) for subgoal in query.subgoals
+        ]
+
+    def test_correlated_rows_without_answers_return_empty(self):
+        reg = VariableRegistry()
+        db = Database(reg)
+        db.add(Relation.block_independent_disjoint(
+            "B", ["x"], {"k": [(("a",), 0.5), (("b",), 0.4)]}, reg
+        ))
+        db.add(Relation.tuple_independent("C", ["x"], [(("c",), 0.5)], reg))
+        x = Var("X")
+        query = ConjunctiveQuery([], [SubGoal("B", [x]), SubGoal("C", [x])])
+        assert sprout_confidence(query, db) == []
+        db.add(Relation.tuple_independent("D", ["x"], [(("a",), 0.5)], reg))
+        joined = ConjunctiveQuery([], [SubGoal("B", [x]), SubGoal("D", [x])])
+        with pytest.raises(UnsafeQueryError, match="correlated"):
+            sprout_confidence(joined, db)
