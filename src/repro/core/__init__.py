@@ -28,11 +28,6 @@ from .compiler import (
     CompilationStats,
     compile_dnf,
 )
-from .counting import (
-    conditional_probability,
-    model_count,
-    weighted_model_count,
-)
 from .decompositions import (
     ShannonBranch,
     independent_and_factorization,
@@ -85,9 +80,6 @@ __all__ = [
     "CompilationBudgetExceeded",
     "CompilationStats",
     "compile_dnf",
-    "conditional_probability",
-    "model_count",
-    "weighted_model_count",
     "DecompositionCache",
     "ShannonBranch",
     "independent_and_factorization",

@@ -4,8 +4,6 @@
   disjoint, certain, and c-table relations with lineage;
 * :mod:`~repro.db.database` — a named collection of relations over one
   probability space;
-* :mod:`~repro.db.algebra` — positive relational algebra with lineage and
-  the ``conf()`` aggregate;
 * :mod:`~repro.db.cq` — conjunctive queries and the tractability
   classifiers (hierarchical, IQ, Theorem 6.4 hard patterns);
 * :mod:`~repro.db.engine` — query evaluation producing per-answer lineage
@@ -16,16 +14,6 @@
   lazy :class:`QueryResult` objects, the library's front door.
 """
 
-from .algebra import (
-    conf,
-    natural_join,
-    product,
-    project,
-    rename_attributes,
-    select,
-    theta_join,
-    union,
-)
 from .cq import (
     ConjunctiveQuery,
     Const,
@@ -57,14 +45,6 @@ __all__ = [
     "ProbDB",
     "QueryResult",
     "rank_answers",
-    "conf",
-    "natural_join",
-    "product",
-    "project",
-    "rename_attributes",
-    "select",
-    "theta_join",
-    "union",
     "ConjunctiveQuery",
     "Const",
     "Inequality",

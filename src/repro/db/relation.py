@@ -98,7 +98,7 @@ class Relation:
         :mod:`repro.db.mutations` reset the memo whenever they touch
         rows.  A stale verdict (rows replaced in place by other code)
         cannot corrupt results: SPROUT re-checks every candidate row and
-        the planner falls back on its ``UnsafeQueryError``.
+        the session falls back to lineage on its ``UnsafeQueryError``.
         """
         memo = self._simple_lineage_memo
         count = len(self.rows)

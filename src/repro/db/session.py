@@ -57,6 +57,7 @@ from .database import Database
 from .engine import QueryAnswer, evaluate
 from .explain import QueryExplanation, explain, rank_influence
 from . import mutations
+from .sprout import UnsafeQueryError
 from .sql import ParsedQuery, parse_conf_query, parse_statement
 from .topk import RankedAnswer, rank_answers
 
@@ -239,8 +240,11 @@ class QueryResult:
     ) -> List[Tuple[AnswerValues, EngineResult]]:
         """Per-answer confidences as one batched anytime computation.
 
-        SPROUT-safe queries are answered extensionally without
-        materialising lineage; everything else goes through
+        SPROUT-safe queries are answered extensionally by
+        :meth:`~repro.engine.ConfidenceEngine.compute_query` without
+        materialising lineage.  Every other query, and any whose rows
+        SPROUT refuses, is answered here on its lineage: this is the one
+        path from a query's answers to
         :meth:`~repro.engine.ConfidenceEngine.compute_many`, which shares
         the session's decomposition cache (and any shared step/time
         budget) across the whole answer set instead of issuing N cold
@@ -264,61 +268,26 @@ class QueryResult:
         cached = self._confidences.get(key)
         if cached is not None:
             return cached
-        answers = self._lineage
         if self.query is not None and self.database is not None:
-            strategy, _reason = ConfidenceEngine.select_query_strategy(
-                self.query, self.database
-            )
-            if strategy == "sprout":
+            try:
                 # Extensional route: no lineage, nothing to compile.
                 pairs = self.engine.compute_query(
                     self.query,
                     self.database,
-                    answers=answers,
                     epsilon=epsilon,
                     error_kind=error_kind,
-                    max_steps=max_steps,
-                    deadline_seconds=deadline_seconds,
-                    max_total_steps=max_total_steps,
-                    workers=workers,
-                    executor_kind=executor_kind,
                 )
+            except UnsafeQueryError:
+                pass  # outside SPROUT's class, or its rows are correlated
+            else:
                 self._confidences[key] = pairs
                 return pairs
-        if answers is None:
-            answers = self.lineage()
-        pairs = self._lineage_confidences(
-            answers,
-            epsilon=epsilon,
-            error_kind=error_kind,
-            max_steps=max_steps,
-            deadline_seconds=deadline_seconds,
-            max_total_steps=max_total_steps,
-            workers=workers,
-            executor_kind=executor_kind,
-        )
-        self._confidences[key] = pairs
-        return pairs
-
-    def _lineage_confidences(
-        self,
-        answers: List[LineageAnswer],
-        *,
-        epsilon: Optional[float],
-        error_kind: Optional[str],
-        max_steps: Optional[int],
-        deadline_seconds: Optional[float],
-        max_total_steps: Optional[int],
-        workers: Optional[int],
-        executor_kind: Optional[str],
-    ) -> List[Tuple[AnswerValues, EngineResult]]:
-        """Batched confidences with the session circuit cache in front.
-
-        Warm answers (exact circuit cached for their lineage) are
-        answered by circuit evaluation; only the cold remainder enters
-        the engine, and any exact circuits the engine compiles on the
-        way are stored for the next query.
-        """
+        # The lineage batch, with the session circuit cache in front:
+        # warm answers (exact circuit cached for their lineage) are
+        # answered by circuit evaluation, only the cold remainder enters
+        # the engine, and the circuits it compiles are kept for the next
+        # query.
+        answers = self.lineage()
         config = self.engine.config
         cache = self._circuit_cache
         results: List[Optional[EngineResult]] = [None] * len(answers)
@@ -355,7 +324,7 @@ class QueryResult:
                         answers[index][1], result.circuit,
                         exact_only=False,
                     )
-        pairs: List[Tuple[AnswerValues, EngineResult]] = []
+        pairs = []
         for (values, _dnf), result in zip(answers, results):
             if result is None:  # pragma: no cover - batch invariant
                 raise RuntimeError(
@@ -363,6 +332,7 @@ class QueryResult:
                     "answers — refusing to drop answers silently"
                 )
             pairs.append((values, result))
+        self._confidences[key] = pairs
         return pairs
 
     def bounds(

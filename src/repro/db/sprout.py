@@ -99,13 +99,6 @@ class _Goal:
         self.terms = tuple(terms)
         self.rows = rows
 
-    def unbound_variables(self, binding: Dict[Var, Hashable]) -> Set[Var]:
-        return {
-            term
-            for term in self.terms
-            if isinstance(term, Var) and term not in binding
-        }
-
     def partition(self, var: Var) -> Dict[Hashable, List[_Row]]:
         """The rows by their value of ``var``, each list in row order.
 
@@ -130,12 +123,13 @@ class _Goal:
 
 
 def _group_probability(
-    goals: List[_Goal], binding: Dict[Var, Hashable]
+    goals: List[_Goal], unbound_sets: List[Set[Var]]
 ) -> float:
-    """Probability of a connected group of subgoals (all must match)."""
-    # Split into connected components on the *unbound* variables.
-    unbound_sets = [goal.unbound_variables(binding) for goal in goals]
+    """Probability of a connected group of subgoals (all must match).
 
+    ``unbound_sets[i]`` holds the variables of ``goals[i]`` that the
+    head and the enclosing levels' roots leave unbound.
+    """
     # Fully bound goals are independent of everything else.
     probability = 1.0
     open_goals: List[_Goal] = []
@@ -213,15 +207,15 @@ def _group_probability(
             candidate_values = candidate_values & set(groups)
 
         # Distinct root values touch disjoint tuples: independent-or.
+        # Binding the root leaves each member's other variables open.
+        sub_unbound = [open_vars[index] - {root} for index in indices]
         miss = 1.0
         for value in sorted(candidate_values, key=repr):
             restricted = [
                 _Goal(goal.terms, groups[value])
                 for goal, groups in zip(members, partitions)
             ]
-            sub_binding = dict(binding)
-            sub_binding[root] = value
-            miss *= 1.0 - _group_probability(restricted, sub_binding)
+            miss *= 1.0 - _group_probability(restricted, sub_unbound)
         probability *= 1.0 - miss
         if probability == 0.0:
             return 0.0
@@ -292,12 +286,20 @@ def sprout_confidence(
             )
         partitions.append((subgoal.terms, answer_key, groups))
 
+    # The head binds the same variables in every answer.
+    unbound_sets = [
+        {
+            term
+            for term in subgoal.terms
+            if isinstance(term, Var) and term not in head_index
+        }
+        for subgoal in query.subgoals
+    ]
     results: List[Tuple[Tuple[Hashable, ...], float]] = []
     for values in answers:
         goals = [
             _Goal(terms, groups.get(answer_key(values), []))
             for terms, answer_key, groups in partitions
         ]
-        binding: Dict[Var, Hashable] = dict(zip(query.head, values))
-        results.append((values, _group_probability(goals, binding)))
+        results.append((values, _group_probability(goals, unbound_sets)))
     return results

@@ -60,9 +60,9 @@ class SqlSyntaxError(ValueError):
 
 _TOKEN_PATTERN = re.compile(
     r"""
-    \s*(
+    \s*(?:
         (?P<string>'[^']*')
-      | (?P<number>-?\d+(\.\d+)?)
+      | (?P<number>-?\d+(?:\.\d+)?)
       | (?P<op><=|>=|<>|!=|=|<|>)
       | (?P<punct>[(),;.*])
       | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
@@ -85,14 +85,14 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
                 break
             raise SqlSyntaxError(f"cannot tokenize near {remainder[:20]!r}")
         position = match.end()
-        for kind in ("string", "number", "op", "punct", "word"):
-            value = match.group(kind)
-            if value is not None:
-                if kind == "word" and value.lower() in _KEYWORDS:
-                    tokens.append(("keyword", value.lower()))
-                else:
-                    tokens.append((kind, value))
-                break
+        # The named alternatives are the only capturing groups, so the
+        # one that matched is the last group closed.
+        kind = match.lastgroup
+        value = match.group(kind)
+        if kind == "word" and value.lower() in _KEYWORDS:
+            tokens.append(("keyword", value.lower()))
+        else:
+            tokens.append((kind, value))
     return tokens
 
 

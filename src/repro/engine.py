@@ -20,7 +20,11 @@ at the first strategy that answers the request:
    the query.
 3. ``sprout`` — *query level only* (:meth:`compute_query`): hierarchical
    conjunctive queries without self-joins on tuple-independent tables are
-   evaluated extensionally, never materialising lineage.
+   evaluated extensionally, never materialising lineage.  Every other
+   query, and any query SPROUT refuses, raises
+   :class:`~repro.db.sprout.UnsafeQueryError`; the session
+   (:meth:`repro.db.session.QueryResult.confidences`) owns the fallback
+   and sends the answers' lineage down this ladder as one batch.
 4. ``dtree`` — the incremental ε-approximation with certified bounds (the
    paper's main algorithm; exact when ``ε = 0``), under the engine's
    time/step budget and shared decomposition memo cache.
@@ -1626,10 +1630,11 @@ class ConfidenceEngine:
 
         Query-level selection happens *before* lineage is materialised:
         hierarchical self-join-free queries with at most local
-        inequalities on tuple-independent tables go to SPROUT; everything
-        else materialises lineage and re-enters the ladder per answer.
+        inequalities on tuple-independent tables go to SPROUT; the
+        session answers everything else on its lineage, as one batch
+        down the ladder.
         Without a ``database`` the row-lineage condition is assumed to
-        hold (SPROUT itself re-checks and the planner falls back).  The
+        hold (SPROUT itself re-checks and the session falls back).  The
         structural checks read the query's own memos, so repeated calls
         for one statement cost a few lookups.
         """
@@ -1677,67 +1682,35 @@ class ConfidenceEngine:
         query,
         database,
         *,
-        answers: Optional[
-            Sequence[Tuple[Tuple[Hashable, ...], DNF]]
-        ] = None,
         epsilon: Optional[float] = None,
         error_kind: Optional[str] = None,
-        max_steps: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
-        max_total_steps: Optional[int] = None,
-        workers: Optional[int] = None,
-        executor_kind: Optional[str] = None,
     ) -> List[Tuple[Tuple[Hashable, ...], EngineResult]]:
-        """Per-answer confidence for a conjunctive query.
+        """Per-answer confidence for a conjunctive query, by SPROUT.
 
-        Routes the whole query through SPROUT when its class allows,
-        otherwise materialises lineage (or reuses precomputed
-        ``answers``) and walks the DNF ladder as one
-        :meth:`compute_many` batch.
+        The query-level rung and nothing more: a query that
+        :meth:`select_query_strategy` routes to SPROUT is answered
+        extensionally, without materialising lineage.  Any other query
+        raises :class:`~repro.db.sprout.UnsafeQueryError` with the
+        classifier's reason, and so does a query whose rows SPROUT
+        itself refuses (its checks are authoritative).  The session
+        (:meth:`repro.db.session.QueryResult.confidences`) owns the
+        fallback: it answers such queries on their lineage, with its
+        circuit cache in front of :meth:`compute_many`.
         """
+        from .db.sprout import UnsafeQueryError, sprout_confidence
+
         strategy, reason = self.select_query_strategy(query, database)
-        if strategy == "sprout":
-            from .db.sprout import UnsafeQueryError, sprout_confidence
-
-            try:
-                eps = self.config.epsilon if epsilon is None else epsilon
-                kind = (
-                    self.config.error_kind
-                    if error_kind is None
-                    else error_kind
-                )
-                return [
-                    (
-                        values,
-                        EngineResult(
-                            probability, probability, probability,
-                            "sprout", reason, True, eps, kind,
-                        ),
-                    )
-                    for values, probability in sprout_confidence(
-                        query, database
-                    )
-                ]
-            except UnsafeQueryError:
-                # The classifier is conservative but SPROUT's own checks
-                # are authoritative; fall through to the lineage ladder.
-                pass
-
-        if answers is None:
-            from .db.engine import evaluate_to_dnf
-
-            answers = evaluate_to_dnf(query, database)
-        results = self.compute_many(
-            [dnf for _values, dnf in answers],
-            epsilon=epsilon,
-            error_kind=error_kind,
-            max_steps=max_steps,
-            deadline_seconds=deadline_seconds,
-            max_total_steps=max_total_steps,
-            workers=workers,
-            executor_kind=executor_kind,
-        )
+        if strategy != "sprout":
+            raise UnsafeQueryError(reason)
+        eps = self.config.epsilon if epsilon is None else epsilon
+        kind = self.config.error_kind if error_kind is None else error_kind
         return [
-            (values, result)
-            for (values, _dnf), result in zip(answers, results)
+            (
+                values,
+                EngineResult(
+                    probability, probability, probability,
+                    "sprout", reason, True, eps, kind,
+                ),
+            )
+            for values, probability in sprout_confidence(query, database)
         ]

@@ -25,6 +25,7 @@ from repro.db.database import Database
 from repro.db.engine import evaluate_to_dnf
 from repro.db.relation import Relation
 from repro.db.session import ProbDB
+from repro.db.sprout import UnsafeQueryError
 from repro.engine import STRATEGY_LADDER, ConfidenceEngine, EngineResult
 
 
@@ -269,6 +270,94 @@ class TestDbPathsRouteThroughEngine:
         for _values, result in results:
             assert isinstance(result, EngineResult)
             assert result.strategy in STRATEGY_LADDER
+
+    def test_compute_query_refuses_non_hierarchical_queries(self):
+        db = _small_database()
+        db.add(
+            Relation.tuple_independent(
+                "PT", ["y"], [(("d",), 0.5), (("e",), 0.6)], db.registry
+            )
+        )
+        x, y = Var("X"), Var("Y")
+        query = ConjunctiveQuery(
+            [],
+            [SubGoal("PR", [x]), SubGoal("PS", [x, y]), SubGoal("PT", [y])],
+            [],
+        )
+        strategy, reason = ConfidenceEngine.select_query_strategy(query, db)
+        assert strategy == "dtree"
+        engine = ConfidenceEngine(db.registry)
+        with pytest.raises(UnsafeQueryError) as refused:
+            engine.compute_query(query, db)
+        assert str(refused.value) == reason
+        # The session owns the fallback: it answers on the lineage.
+        [(_values, result)] = ProbDB(db).query(query).confidences()
+        assert result.strategy != "sprout"
+        truth = brute_force_probability(
+            evaluate_to_dnf(query, db)[0][1], db.registry
+        )
+        assert result.probability == pytest.approx(truth, abs=1e-9)
+
+    def test_compute_query_labels_sprout_results(self):
+        db = _small_database()
+        query = _query()
+        strategy, reason = ConfidenceEngine.select_query_strategy(query, db)
+        assert strategy == "sprout"
+        engine = ConfidenceEngine(db.registry)
+        pairs = engine.compute_query(
+            query, db, epsilon=0.05, error_kind="relative"
+        )
+        lineage = dict(evaluate_to_dnf(query, db))
+        assert [values for values, _r in pairs] == list(lineage)
+        for values, result in pairs:
+            assert result.strategy == "sprout"
+            assert result.reason == reason
+            assert result.converged
+            assert result.lower == result.probability == result.upper
+            # The request is echoed, though SPROUT answers exactly.
+            assert (result.epsilon, result.error_kind) == (0.05, "relative")
+            assert result.probability == pytest.approx(
+                brute_force_probability(lineage[values], db.registry),
+                abs=1e-12,
+            )
+
+    def test_compute_query_materialises_no_lineage(self, monkeypatch):
+        from repro.db.engine import QueryAnswer
+
+        def refuse(_answer):
+            raise AssertionError("SPROUT must not build lineage")
+
+        monkeypatch.setattr(QueryAnswer, "dnf", property(refuse))
+        monkeypatch.setattr(QueryAnswer, "lineage", property(refuse))
+        db = _small_database()
+        pairs = ConfidenceEngine(db.registry).compute_query(_query(), db)
+        assert [values for values, _r in pairs] == [("a",), ("b",), ("c",)]
+
+    def test_compute_query_refuses_self_joins(self):
+        db = _small_database()
+        x, y, z = Var("X"), Var("Y"), Var("Z")
+        query = ConjunctiveQuery(
+            [], [SubGoal("PS", [x, y]), SubGoal("PS", [z, y])], []
+        )
+        engine = ConfidenceEngine(db.registry)
+        with pytest.raises(UnsafeQueryError, match="self-joins"):
+            engine.compute_query(query, db)
+
+    def test_compute_query_refuses_composite_row_lineage(self):
+        reg = VariableRegistry()
+        db = Database(reg)
+        db.add(
+            Relation.block_independent_disjoint(
+                "B", ["x"], {"k": [(("a",), 0.5), (("b",), 0.4)]}, reg
+            )
+        )
+        query = ConjunctiveQuery([], [SubGoal("B", [Var("X")])], [])
+        with pytest.raises(UnsafeQueryError, match="composite row"):
+            ConfidenceEngine(reg).compute_query(query, db)
+        # The session answers it on the lineage: the alternatives are
+        # exclusive, so P = 0.5 + 0.4.
+        [(_values, result)] = ProbDB(db).query(query).confidences()
+        assert result.probability == pytest.approx(0.9, abs=1e-12)
 
     def test_topk_routes_through_engine(self, monkeypatch):
         calls = []

@@ -10,10 +10,7 @@ import pytest
 
 from repro.core.approx import RELATIVE, approximate_probability
 from repro.core.exact import exact_probability, exact_probability_compiled
-from repro.core.semantics import (
-    brute_force_formula_probability,
-    brute_force_probability,
-)
+from repro.core.semantics import brute_force_probability
 from repro.datasets.graphs import GRAPH_QUERIES, random_graph
 from repro.datasets.social import karate_club_network
 from repro.datasets.tpch import TPCHConfig, generate_tpch
@@ -23,8 +20,8 @@ from repro.datasets.tpch_queries import (
     IQ_QUERIES,
     make_query,
 )
-from repro.db.algebra import conf, natural_join, project
 from repro.db.engine import answer_selector, evaluate, evaluate_to_dnf
+from repro.db.session import ProbDB
 from repro.db.sprout import sprout_confidence
 from repro.mc.aconf import aconf
 
@@ -163,42 +160,19 @@ class TestGraphWorkloads:
         assert mc.estimate == pytest.approx(truth, rel=0.15)
 
 
-class TestAlgebraPipeline:
-    def test_conf_operator_end_to_end(self, tiny_tpch):
-        joined = natural_join(
-            tiny_tpch["supplier"].renamed("supplier"),
-            # lineitem shares no attribute names with supplier except via
-            # explicit renaming of the join column.
-            _lineitem_for_join(tiny_tpch),
+class TestSqlPipeline:
+    def test_conf_end_to_end(self, tiny_tpch):
+        result = ProbDB(tiny_tpch).sql(
+            "select s.s_suppkey, conf() from supplier s, lineitem l "
+            "where s.s_suppkey = l.l_suppkey"
         )
-        projected = project(joined, ["s_suppkey"])
-        results = conf(projected, tiny_tpch.registry, epsilon=0.0)
-        assert results
-        lineage_of = {v: l for v, l in projected.rows}
-        checked_against_brute_force = 0
-        for values, probability in results:
-            lineage = lineage_of[values]
-            # Brute force is exponential in the variable count: use it as
-            # the oracle only on small lineage, and the (independently
-            # fuzz-tested) d-tree exact value otherwise.
-            if len(lineage.variables()) <= 14:
-                expected = brute_force_formula_probability(
-                    lineage, tiny_tpch.registry
-                )
-                checked_against_brute_force += 1
-            else:
-                expected = exact_probability(
-                    lineage.to_dnf(), tiny_tpch.registry
-                )
-            assert probability == pytest.approx(expected)
-        assert checked_against_brute_force >= 0
-
-
-def _lineitem_for_join(db):
-    from repro.db.algebra import project as pj
-    from repro.db.algebra import rename_attributes
-
-    lineitem = pj(
-        db["lineitem"], ["l_suppkey", "l_orderkey"], deduplicate=False
-    )
-    return rename_attributes(lineitem, {"l_suppkey": "s_suppkey"})
+        lineage = dict(result.lineage())
+        pairs = result.confidences()
+        assert pairs
+        assert [values for values, _r in pairs] == list(lineage)
+        for values, outcome in pairs:
+            # Brute force is exponential in the variable count: the
+            # d-tree exact value is the oracle on this lineage.
+            assert outcome.probability == pytest.approx(
+                exact_probability(lineage[values], tiny_tpch.registry)
+            )

@@ -263,7 +263,7 @@ class TestCorrelatedRows:
         assert relation.has_simple_lineage()
 
     def test_shared_rows_across_relations_fall_back(self):
-        from repro import ProbDB
+        from repro import EngineConfig, ProbDB
 
         db = _shared_rows_database()
         x = Var("X")
@@ -272,9 +272,24 @@ class TestCorrelatedRows:
         )
         with pytest.raises(UnsafeQueryError, match="correlated"):
             sprout_confidence(query, db)
-        [(_values, result)] = ProbDB(db).query(query).confidences()
-        assert result.strategy != "sprout"
-        assert result.probability == pytest.approx(0.5, abs=1e-12)
+        for compile_circuits in (False, True):
+            session = ProbDB(
+                db, EngineConfig(compile_circuits=compile_circuits)
+            )
+            first = session.query(query)
+            [(_values, result)] = first.confidences()
+            assert result.strategy != "sprout"
+            assert result.probability == pytest.approx(0.5, abs=1e-12)
+        # In the circuit-compiling session the refused query's answers
+        # take the session's lineage batch: the circuit it compiled is
+        # cached, and a fresh result of the same query is answered from
+        # it.
+        assert len(session.circuits) == 1
+        [(_values, lineage)] = first.lineage()
+        assert lineage in session.circuits
+        [(_values, warm)] = session.query(query).confidences()
+        assert warm.strategy == "circuit"
+        assert warm.probability == result.probability
 
 
 # ----------------------------------------------------------------------
@@ -625,11 +640,66 @@ class TestPartitionGrouping:
         # Value 1 is a key of R's partition, but its only row holds 2 at
         # A's second position: the value keeps an empty row list.
         assert r_goal.partition(a) == {1: [], 2: [((2, 2, 1), 0.6)]}
-        probability = _group_probability([r_goal, _Goal((a, c), s_rows)], {})
+        probability = _group_probability(
+            [r_goal, _Goal((a, c), s_rows)], [{a, b}, {a, c}]
+        )
         assert probability == _restrict_group_probability(
             [((a, a, b), r_rows), ((a, c), s_rows)], {}
         )
         assert probability == pytest.approx(0.6 * 0.7, abs=1e-15)
+
+    def test_child_levels_split_into_components(self):
+        # After the root A is bound, R1 and R2 still share B while R3
+        # only holds E; after B is bound, R1's C and R2's D part too.
+        rng = random.Random(5)
+        reg = VariableRegistry()
+        db = Database(reg)
+        for name, arity in (("R1", 3), ("R2", 3), ("R3", 2)):
+            rows = {
+                tuple(rng.randint(1, 3) for _ in range(arity)):
+                    rng.uniform(0.1, 0.9)
+                for _ in range(7)
+            }
+            db.add(Relation.tuple_independent(
+                name, [f"c{i}" for i in range(arity)], list(rows.items()),
+                reg,
+            ))
+        a, b, c, d, e = (Var(name) for name in "ABCDE")
+        query = ConjunctiveQuery(
+            [],
+            [
+                SubGoal("R1", [a, b, c]),
+                SubGoal("R2", [a, b, d]),
+                SubGoal("R3", [a, e]),
+            ],
+        )
+        assert query.is_hierarchical()
+        pairs = sprout_confidence(query, db)
+        assert pairs == restrict_sprout(query, db)
+        [answer] = evaluate(query, db)
+        [(_values, probability)] = pairs
+        assert probability == pytest.approx(
+            brute_force_formula_probability(answer.lineage, reg), abs=1e-12
+        )
+
+    def test_head_variable_in_every_subgoal_is_never_open(self):
+        from repro.db.sprout import _Goal, _group_probability
+
+        a, b, c = Var("A"), Var("B"), Var("C")
+        # Rows already restricted to one head value: A is bound, so B
+        # and C are the only open variables and the goals are separate
+        # components, each an independent-or over its rows.
+        r_rows = [((1, 5), 0.5), ((1, 6), 0.4)]
+        s_rows = [((1, 7), 0.3)]
+        probability = _group_probability(
+            [_Goal((a, b), r_rows), _Goal((a, c), s_rows)], [{b}, {c}]
+        )
+        assert probability == _restrict_group_probability(
+            [((a, b), r_rows), ((a, c), s_rows)], {a: 1}
+        )
+        assert probability == pytest.approx(
+            (1 - 0.5 * 0.6) * 0.3, abs=1e-15
+        )
 
     def test_each_subgoal_is_scanned_once(self, monkeypatch):
         import repro.db.engine as db_engine

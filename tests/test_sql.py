@@ -8,7 +8,7 @@ from repro.db.database import Database
 from repro.db.engine import evaluate
 from repro.db.relation import Relation
 from repro.db.session import ProbDB
-from repro.db.sql import SqlSyntaxError, parse_conf_query
+from repro.db.sql import SqlSyntaxError, _tokenize, parse_conf_query
 from repro.engine import EngineConfig
 
 
@@ -153,6 +153,45 @@ class TestSelectAndJoin:
                 answers[values].lineage, rs_db.registry
             )
             assert confidence == pytest.approx(expected)
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("1.5", ("number", "1.5")),
+            ("-3", ("number", "-3")),
+            ("'x y'", ("string", "'x y'")),
+            ("<=", ("op", "<=")),
+            ("<>", ("op", "<>")),
+            ("!=", ("op", "!=")),
+            ("*", ("punct", "*")),
+            ("n1", ("word", "n1")),
+            ("SELECT", ("keyword", "select")),
+            ("Conf", ("keyword", "conf")),
+        ],
+    )
+    def test_single_token_kind(self, text, token):
+        assert _tokenize(f"  {text} ") == [token]
+
+    def test_token_sequence(self):
+        assert _tokenize("select a.b<=-2.5, 'x' from T;") == [
+            ("keyword", "select"),
+            ("word", "a"),
+            ("punct", "."),
+            ("word", "b"),
+            ("op", "<="),
+            ("number", "-2.5"),
+            ("punct", ","),
+            ("string", "'x'"),
+            ("keyword", "from"),
+            ("word", "T"),
+            ("punct", ";"),
+        ]
+
+    def test_untokenizable_text_rejected(self):
+        with pytest.raises(SqlSyntaxError, match="cannot tokenize"):
+            _tokenize("select @ from R")
 
 
 class TestSyntaxErrors:
