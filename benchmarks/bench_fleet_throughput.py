@@ -31,7 +31,10 @@ to?  The bench:
   populated it (same ``==`` floats over the wire, ``cached: true``
   stamped).
 
-Results go to ``BENCH_fleet.json`` at the repo root.  Built-in
+Results go to ``BENCH_fleet.json`` at the repo root, with the
+environment they were measured in (the serving bench's block — commit,
+CPU count, Python and numpy versions, kernel backend — plus the HTTP
+server the workers ran).  Built-in
 acceptance bars (skipped with ``FLEET_BENCH_NO_ASSERT=1``): more than
 one worker served, response hits dominate misses, and — full mode
 only — aggregate socket throughput beats the committed single-process
@@ -64,6 +67,8 @@ from repro.serving import (
     ServingConfig,
     ServingFleet,
 )
+
+from bench_serving_latency import environment
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT = os.environ.get(
@@ -248,9 +253,8 @@ def main() -> int:
             "unique_requests": len(unique),
             "repeats": REPEATS,
             "requests": len(workload),
-            "http_server": "stdlib",
-            "python": sys.version.split()[0],
         },
+        "environment": {**environment(), "http_server": "stdlib"},
         "totals": {
             "throughput_rps": throughput,
             "throughput_per_worker": throughput / WORKERS,

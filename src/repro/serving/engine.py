@@ -15,7 +15,9 @@ produced the numbers:
 ``engine`` / ``engine-compile``
     graceful degradation — the lineage was not in the store, so the
     attached :class:`~repro.engine.ConfidenceEngine` computed it (or
-    compiled a circuit into the overlay) on a worker thread.
+    compiled a circuit into the overlay): on the event loop when the
+    request is alone in the engine, on a worker thread otherwise (see
+    :meth:`ServingEngine._with_engine`).
 
 Micro-batching: concurrent single-scenario requests against the *same*
 circuit are coalesced — each enqueues a row into a per-``(circuit,
@@ -31,9 +33,12 @@ batch occupancy exceeds 1 even for a single client.  The window only
 pays off when company can arrive: when a request parks on its rows
 while it is the only request that has been running since the buckets
 last drained, every pending bucket flushes on the next event-loop
-iteration instead (``ServingStats.idle_flushes``).  Sweep results are
-bit-identical to the scalar path by the sweep module's own contract,
-so batching is a latency decision, never a semantics one.  Each row's
+iteration instead (``ServingStats.idle_flushes``).  A request's rows
+share one future: each result lands at its row's index and the future
+resolves when the last one does, so a parked request wakes once.
+Sweep results are bit-identical to the scalar path by the sweep
+module's own contract, so batching is a latency decision, never a
+semantics one.  Each row's
 overrides are resolved once, on submit: a bad row fails its own
 request there, and the sweep reuses the resolution.
 
@@ -187,12 +192,32 @@ class ServingConfig:
     tenant_quota_rps: Optional[Mapping[str, Optional[float]]] = None
 
 
+class _Rows:
+    """One request's rows: each result lands at its row's index, and the
+    request's one future resolves when the last row lands."""
+
+    __slots__ = ("future", "results", "missing")
+
+    def __init__(self, future: "asyncio.Future[List[Any]]", count: int):
+        self.future = future
+        self.results: List[Any] = [None] * count
+        self.missing = count
+
+    def land(self, index: int, result: Any) -> None:
+        self.results[index] = result
+        self.missing -= 1
+        if not self.missing and not self.future.done():
+            self.future.set_result(self.results)
+
+    def fail(self, error: BaseException) -> None:
+        if not self.future.done():
+            self.future.set_exception(error)
+
+
 class _Bucket:
     """One pending micro-batch: same circuit, same result kind."""
 
-    __slots__ = (
-        "circuit", "kind", "overrides", "resolved", "futures", "handle"
-    )
+    __slots__ = ("circuit", "kind", "overrides", "resolved", "rows", "handle")
 
     def __init__(self, circuit: Circuit, kind: str) -> None:
         self.circuit = circuit
@@ -201,7 +226,8 @@ class _Bucket:
         #: Each row's ``circuit._resolve_overrides`` result, from the
         #: validation in :meth:`_MicroBatcher.submit`.
         self.resolved: List[Resolution] = []
-        self.futures: List["asyncio.Future[Any]"] = []
+        #: Where each row's result goes: its request and its index there.
+        self.rows: List[Tuple[_Rows, int]] = []
         self.handle: Optional[asyncio.TimerHandle] = None
 
 
@@ -210,7 +236,7 @@ class _MicroBatcher:
 
     Besides the buckets it counts the requests running inside the
     engine's semaphores (:meth:`enter` / :meth:`leave`), how many of
-    them are parked on row futures (:meth:`wait`), and the most that
+    them are parked on their rows (:meth:`wait`), and the most that
     ran at once since the buckets last drained.  When every running
     request is parked and that peak is at most one, no company can
     arrive before the window ends, so the buckets flush on the next
@@ -243,10 +269,16 @@ class _MicroBatcher:
     def leave(self) -> None:
         self.running -= 1
 
+    @property
+    def alone(self) -> bool:
+        """Exactly one request has run since the buckets last drained:
+        the idle rule's premise, read by a running request."""
+        return self.running == 1 and self.peak <= 1
+
     async def wait(self, rows: "asyncio.Future[Any]") -> Any:
-        """Park the calling request on ``rows`` (a row future or a
-        gather of them), scheduling the idle check when it is the last
-        running request to park."""
+        """Park the calling request on ``rows`` (its :meth:`submit`
+        future), scheduling the idle check when it is the last running
+        request to park."""
         self.parked += 1
         if self.parked == self.running:
             self.loop.call_soon(self._flush_if_idle)
@@ -261,33 +293,45 @@ class _MicroBatcher:
 
     def submit(
         self,
-        circuit: Circuit,
-        overrides: Optional[Dict[Any, Any]],
+        rows: List[Tuple[Circuit, Optional[Dict[Any, Any]]]],
         kind: str,
-    ) -> "asyncio.Future[Any]":
-        # Validate per row *before* enqueueing so a bad scenario fails
-        # its own request, never the whole batch it would share.  The
-        # sweep reuses the resolution.
+    ) -> "asyncio.Future[List[Any]]":
+        """Queue one request's ``(circuit, overrides)`` rows; the future
+        resolves to their results in row order (at once when there are
+        none)."""
+        # Validate every row *before* enqueueing any, so a bad scenario
+        # fails its own request, never the batch it would share.  The
+        # sweep reuses the resolutions.
         try:
-            resolved = circuit._resolve_overrides(overrides)
+            resolutions = [
+                circuit._resolve_overrides(overrides)
+                for circuit, overrides in rows
+            ]
         except Exception as exc:
             raise ServingError(
                 "bad-request", f"invalid overrides: {exc}"
             ) from exc
-        key = (id(circuit), kind)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = _Bucket(circuit, kind)
-            self.buckets[key] = bucket
-            bucket.handle = self.loop.call_later(
-                self.window, self._flush, key
-            )
-        future: "asyncio.Future[Any]" = self.loop.create_future()
-        bucket.overrides.append(overrides)
-        bucket.resolved.append(resolved)
-        bucket.futures.append(future)
-        if len(bucket.futures) >= self.max_batch:
-            self._flush(key)
+        future: "asyncio.Future[List[Any]]" = self.loop.create_future()
+        if not rows:
+            future.set_result([])
+            return future
+        request = _Rows(future, len(rows))
+        for index, ((circuit, overrides), resolved) in enumerate(
+            zip(rows, resolutions)
+        ):
+            key = (id(circuit), kind)
+            bucket = self.buckets.get(key)
+            if bucket is None:
+                bucket = _Bucket(circuit, kind)
+                self.buckets[key] = bucket
+                bucket.handle = self.loop.call_later(
+                    self.window, self._flush, key
+                )
+            bucket.overrides.append(overrides)
+            bucket.resolved.append(resolved)
+            bucket.rows.append((request, index))
+            if len(bucket.rows) >= self.max_batch:
+                self._flush(key)
         return future
 
     def _flush(self, key: Tuple[int, str], idle: bool = False) -> None:
@@ -298,7 +342,7 @@ class _MicroBatcher:
             bucket.handle.cancel()
         if not self.buckets:
             self.peak = self.running
-        self.stats.record_batch(len(bucket.futures), idle=idle)
+        self.stats.record_batch(len(bucket.rows), idle=idle)
         try:
             if bucket.kind == "bounds":
                 results: List[Any] = [
@@ -317,13 +361,11 @@ class _MicroBatcher:
             error = ServingError(
                 "internal", f"batched sweep failed: {exc}"
             )
-            for future in bucket.futures:
-                if not future.done():
-                    future.set_exception(error)
+            for request, _ in bucket.rows:
+                request.fail(error)
             return
-        for future, result in zip(bucket.futures, results):
-            if not future.done():
-                future.set_result(result)
+        for (request, index), result in zip(bucket.rows, results):
+            request.land(index, result)
 
     def flush_all(self, idle: bool = False) -> None:
         for key in list(self.buckets):
@@ -336,9 +378,12 @@ class ServingEngine:
     ``engine`` is the optional :class:`~repro.engine.ConfidenceEngine`
     used for graceful degradation on cold lineages; without one, a
     lineage missing from every store snapshot is an ``unknown-circuit``
-    error.  All engine work runs on a worker thread under a lock (the
-    engine's decomposition cache is not thread-safe), so the event loop
-    keeps serving warm traffic while a cold lineage compiles.
+    error.  All engine work runs under a lock (the engine's
+    decomposition cache is not thread-safe).  A request alone in the
+    engine runs it on the event loop, so a request that arrives
+    meanwhile waits for it; under concurrency it runs on a worker
+    thread, so the loop keeps serving warm traffic while a cold lineage
+    compiles (:meth:`_with_engine`).
     """
 
     def __init__(
@@ -589,13 +634,33 @@ class ServingEngine:
     async def _with_engine(
         self, deadline: Optional[float], work: Callable[[], Any]
     ) -> Any:
+        """Run ``work`` under the engine lock, between two deadline
+        checks.
+
+        A request that is alone in the engine (the micro-batcher's idle
+        rule, :attr:`_MicroBatcher.alone`) and finds the lock free runs
+        ``work`` on the loop thread: no company can be waiting, and the
+        worker-thread round trip would cost it more than a small cold
+        computation.  A request that arrives meanwhile waits for the
+        computation to finish.  Under concurrency, or when the lock is
+        held (a thread left behind by a cancelled request), ``work``
+        runs on a worker thread so the loop keeps serving.
+        """
         self._check_deadline(deadline, "waiting for the engine")
+        assert self._batcher is not None
+        lock = self._engine_lock
+        if self._batcher.alone and lock.acquire(blocking=False):
+            try:
+                result = work()
+            finally:
+                lock.release()
+        else:
 
-        def locked() -> Any:
-            with self._engine_lock:
-                return work()
+            def locked() -> Any:
+                with lock:
+                    return work()
 
-        result = await asyncio.to_thread(locked)
+            result = await asyncio.to_thread(locked)
         self._check_deadline(deadline, "finishing engine work")
         return result
 
@@ -682,14 +747,11 @@ class ServingEngine:
     ) -> List[Any]:
         """Queue ``(circuit, overrides)`` rows on the micro-batcher,
         park on them, then check the deadline."""
-        assert self._batcher is not None
-        futures = [
-            self._batcher.submit(circuit, overrides, kind)
-            for circuit, overrides in rows
-        ]
-        results = await self._batcher.wait(asyncio.gather(*futures))
+        batcher = self._batcher
+        assert batcher is not None
+        results = await batcher.wait(batcher.submit(rows, kind))
         self._check_deadline(deadline, "awaiting the batched sweep")
-        return list(results)
+        return results
 
     async def _circuit_rows(
         self,

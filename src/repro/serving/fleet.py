@@ -22,9 +22,14 @@ the same thing in every process.
 HTTP: each worker binds an ephemeral port and reports it to the
 coordinator over a pipe.  The server is uvicorn when installed and
 requested (``http_server="uvicorn"``/``"auto"``), otherwise a small
-stdlib asyncio HTTP/1.1 bridge over the same ASGI app — keep-alive,
+stdlib HTTP/1.1 bridge over the same ASGI app — keep-alive,
 content-length framing, nothing fancy — so the fleet, like the rest of
-the library, works from the standard library alone.
+the library, works from the standard library alone.  The bridge and
+:class:`FleetClient` both speak it as :class:`asyncio.Protocol`
+classes over one framing (:class:`_HttpConnection`): a message's head
+is found with one search for the blank line that ends it, not read a
+line at a time, so a request costs the loop one wake-up per socket read
+on each end.
 
 Routing: :class:`FleetClient` holds one persistent connection per
 worker and routes by **lineage affinity** (stable CRC32 of the wire
@@ -72,10 +77,9 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: fault in and unmap new pages; a 64 KiB buffer comes from the heap.
 _READ_BYTES = 64 * 1024
 
-
-def _small_reads(writer: asyncio.StreamWriter) -> None:
-    """Cap the reads of ``writer``'s transport at :data:`_READ_BYTES`."""
-    writer.transport.max_size = _READ_BYTES  # type: ignore[attr-defined]
+#: Longest message head (start line and headers) either end accepts:
+#: a longer one is a ``bad-request``.
+_MAX_HEAD_BYTES = 64 * 1024
 
 
 _REASONS = {
@@ -171,6 +175,14 @@ def _fleet_worker_main(
             pass
 
 
+def _bind(host: str) -> socket.socket:
+    """A TCP socket bound to an ephemeral port on ``host``."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind((host, 0))
+    return sock
+
+
 async def _worker_serve(
     app: ServingApp,
     conn: "multiprocessing.connection.Connection",
@@ -183,9 +195,7 @@ async def _worker_serve(
     # Any pipe traffic — a stop message or the coordinator closing its
     # end (crash included) — wakes the worker for shutdown.
     loop.add_reader(conn.fileno(), stop.set)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, 0))
+    sock = _bind(host)
     port = sock.getsockname()[1]
 
     use_uvicorn = False
@@ -216,134 +226,175 @@ async def _worker_serve(
             await task
         else:
             bridge = _StdlibBridge(app)
-            server = await asyncio.start_server(bridge.handle, sock=sock)
+            server = await bridge.start(sock)
             conn.send(("ready", port))
             await stop.wait()
             server.close()
-            await server.wait_closed()
             await bridge.drain()
+            await server.wait_closed()
             await app.engine.close()
     finally:
         loop.remove_reader(conn.fileno())
 
 
-async def _read_head(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, Dict[str, str], int]]:
-    """One HTTP/1.1 start line, header block and content length.
+class _HttpConnection(asyncio.Protocol):
+    """One end of an HTTP/1.1 socket: a receive buffer and its framing.
 
-    Returns ``None`` at end of stream.  Header names are lower-cased; a
-    content length that is not a plain decimal number is a
-    ``bad-request`` :class:`ServingError`.
-    """
-    start_line = await reader.readline()
-    if not start_line.strip():
-        return None
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = headers.get("content-length", "0") or "0"
-    if not (length.isascii() and length.isdigit()):
-        raise ServingError(
-            "bad-request", f"malformed content-length {length!r}"
-        )
-    return start_line.decode("latin-1").strip(), headers, int(length)
-
-
-class _StdlibBridge:
-    """Minimal HTTP/1.1 bridge onto :meth:`ServingApp.exchange`.
-
-    Supports exactly what the serving wire protocol needs: JSON bodies
-    framed by ``Content-Length``, keep-alive connections, one request
-    in flight per connection.  Framing the bridge cannot honour — a
-    chunked upload (411), a malformed (400) or over-cap (413) length —
-    is answered with a structured error and the connection closes.
+    Both the bridge's server side and :class:`FleetClient`'s side build
+    on it.  :meth:`_take` finds a message's head with one search for
+    the blank line that ends it and takes the message off the buffer
+    once its ``Content-Length`` body has arrived.  Socket reads are
+    capped at :data:`_READ_BYTES`.
     """
 
-    def __init__(self, app: ServingApp) -> None:
-        self.app = app
-        self._writers: set = set()
-        self._handlers: set = set()
+    def __init__(self) -> None:
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        #: Buffer bytes already searched for the end of the head.
+        self._scanned = 0
+        #: ``(start line, headers, content length, head size)`` of the
+        #: message whose body is still arriving.
+        self._head: Optional[Tuple[str, Dict[str, str], int, int]] = None
 
-    async def drain(self) -> None:
-        """Close every live connection so handlers finish on their own.
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        transport.max_size = _READ_BYTES  # type: ignore[attr-defined]
+        self.transport = transport  # type: ignore[assignment]
 
-        Cancelling handler tasks at loop teardown instead would make
-        Python 3.11's ``StreamReaderProtocol`` log spurious
-        ``CancelledError`` tracebacks (its done-callback predates the
-        cancelled-task guard); feeding EOF lets each keep-alive loop
-        exit normally.
-        """
-        for writer in list(self._writers):
-            writer.close()
-        if self._handlers:
-            await asyncio.gather(
-                *list(self._handlers), return_exceptions=True
-            )
-
-    async def handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+    def _head_received(
+        self, start: str, headers: Dict[str, str], length: int
     ) -> None:
-        _small_reads(writer)
-        self._writers.add(writer)
-        self._handlers.add(asyncio.current_task())
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except ServingError as exc:
-                    body = json.dumps(exc.to_json()).encode("utf-8")
-                    await self._write_response(
-                        writer,
-                        exc.status,
-                        [(b"content-type", b"application/json")],
-                        body,
-                        False,
-                    )
-                    break
-                if request is None:
-                    break
-                method, path, body, keep_alive = request
-                status, headers, payload = await self.app.exchange(
-                    method, path, body
-                )
-                await self._write_response(
-                    writer, status, headers, payload, keep_alive
-                )
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._writers.discard(writer)
-            self._handlers.discard(asyncio.current_task())
+        """Hook, called once per message head before its body is read:
+        a :class:`ServingError` refuses the message."""
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes, bool]]:
-        head = await _read_head(reader)
+    def _take(self) -> Optional[Tuple[str, Dict[str, str], bytes]]:
+        """The message at the front of the buffer, once all of it has
+        arrived: its start line, headers (names lower-cased) and body.
+
+        ``None`` while it is incomplete.  A head over
+        :data:`_MAX_HEAD_BYTES` or a content length that is not a plain
+        decimal number is a ``bad-request`` :class:`ServingError`.
+        """
+        buffer = self._buffer
+        head = self._head
         if head is None:
+            end = buffer.find(b"\r\n\r\n", max(0, self._scanned - 3))
+            if end < 0 and len(buffer) <= _MAX_HEAD_BYTES:
+                self._scanned = len(buffer)
+                return None
+            if end < 0 or end > _MAX_HEAD_BYTES:
+                raise ServingError(
+                    "bad-request",
+                    f"message head exceeds {_MAX_HEAD_BYTES} bytes",
+                )
+            lines = buffer[:end].decode("latin-1").split("\r\n")
+            headers: Dict[str, str] = {}
+            for line in lines[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = headers.get("content-length", "0") or "0"
+            if not (length.isascii() and length.isdigit()):
+                raise ServingError(
+                    "bad-request", f"malformed content-length {length!r}"
+                )
+            head = (lines[0].strip(), headers, int(length), end + 4)
+            self._head_received(*head[:3])
+            self._head = head
+        start, headers, length, size = head
+        if len(buffer) < size + length:
             return None
-        request_line, headers, length = head
+        body = bytes(buffer[size:size + length])
+        del buffer[:size + length]
+        self._head = None
+        self._scanned = 0
+        return start, headers, body
+
+
+def _response(
+    status: int,
+    headers: List[Tuple[bytes, bytes]],
+    body: bytes,
+    keep_alive: bool,
+) -> bytes:
+    """One serialized HTTP/1.1 response."""
+    reason = _REASONS.get(status, "Status")
+    lines = [f"HTTP/1.1 {status} {reason}".encode("latin-1")]
+    has_length = False
+    for name, value in headers:
+        if name.lower() == b"content-length":
+            has_length = True
+        lines.append(name + b": " + value)
+    if not has_length:
+        lines.append(b"content-length: " + str(len(body)).encode())
+    lines.append(
+        b"connection: keep-alive" if keep_alive else b"connection: close"
+    )
+    return b"\r\n".join(lines) + b"\r\n\r\n" + body
+
+
+class _ServerConnection(_HttpConnection):
+    """The bridge's end of one client socket.
+
+    One request is in flight at a time; pipelined requests wait in the
+    buffer and are answered in order.  While a request runs or the
+    transport's write buffer is full, reading pauses once more than
+    :data:`_READ_BYTES` wait in the buffer, so a client that pipelines
+    without reading its answers waits in the socket instead of in
+    memory.  After the last response (``connection: close``, HTTP/1.0,
+    or a framing error) the connection half-closes and drops whatever
+    else arrives until the client closes: closing outright with unread
+    input would reset the connection and could destroy the answer
+    before the client reads it.
+    """
+
+    def __init__(self, bridge: "_StdlibBridge") -> None:
+        super().__init__()
+        self._bridge = bridge
+        #: ``(method, path, keep_alive)`` of the request being received.
+        self._request: Optional[Tuple[str, str, bool]] = None
+        #: A request is running, or the connection is finished.
+        self._busy = False
+        self._finished = False
+        self._eof = False
+        self._reading = True
+        #: The transport's write buffer is over its high-water mark.
+        self._write_paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self._bridge._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._bridge._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._finished:
+            return
+        self._buffer += data
+        self._next()
+
+    def eof_received(self) -> bool:
+        if self._finished:
+            return False
+        self._eof = True
+        self._next()
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._next()
+
+    def _head_received(
+        self, start: str, headers: Dict[str, str], length: int
+    ) -> None:
         try:
-            method, target, version = request_line.split(" ", 2)
+            method, target, version = start.split(" ", 2)
         except ValueError:
-            return None
+            raise ServingError(
+                "bad-request", f"malformed request line {start[:80]!r}"
+            ) from None
         if "chunked" in headers.get("transfer-encoding", "").lower():
             raise ServingError(
                 "bad-request",
@@ -359,36 +410,117 @@ class _StdlibBridge:
                 f"request body exceeds {_MAX_BODY_BYTES} bytes",
                 status=413,
             )
-        body = await reader.readexactly(length) if length else b""
         keep_alive = (
             version.upper() != "HTTP/1.0"
             and headers.get("connection", "").lower() != "close"
         )
-        path = target.split("?", 1)[0]
-        return method, path, body, keep_alive
+        self._request = (method, target.split("?", 1)[0], keep_alive)
 
-    async def _write_response(
+    def _next(self) -> None:
+        """Start the request at the front of the buffer once it has all
+        arrived, unless one is running or writes are paused."""
+        assert self.transport is not None
+        if self._busy or self._write_paused:
+            if self._reading and len(self._buffer) > _READ_BYTES:
+                self._reading = False
+                self.transport.pause_reading()
+            return
+        try:
+            message = self._take()
+        except ServingError as exc:
+            self._respond(
+                exc.status,
+                [(b"content-type", b"application/json")],
+                json.dumps(exc.to_json()).encode("utf-8"),
+                False,
+            )
+            return
+        if message is None:
+            if self._eof:
+                self.transport.close()
+            elif not self._reading:
+                self._reading = True
+                self.transport.resume_reading()
+            return
+        assert self._request is not None
+        method, path, keep_alive = self._request
+        self._busy = True
+        task = asyncio.get_running_loop().create_task(
+            self._serve(method, path, message[2], keep_alive)
+        )
+        self._bridge._tasks.add(task)
+        task.add_done_callback(self._bridge._tasks.discard)
+
+    async def _serve(
+        self, method: str, path: str, body: bytes, keep_alive: bool
+    ) -> None:
+        try:
+            status, headers, payload = await self._bridge.app.exchange(
+                method, path, body
+            )
+        except BaseException:
+            assert self.transport is not None
+            self.transport.close()
+            raise
+        self._respond(status, headers, payload, keep_alive)
+
+    def _respond(
         self,
-        writer: asyncio.StreamWriter,
         status: int,
         headers: List[Tuple[bytes, bytes]],
         body: bytes,
         keep_alive: bool,
     ) -> None:
-        reason = _REASONS.get(status, "Status")
-        lines = [f"HTTP/1.1 {status} {reason}".encode("latin-1")]
-        has_length = False
-        for name, value in headers:
-            if name.lower() == b"content-length":
-                has_length = True
-            lines.append(name + b": " + value)
-        if not has_length:
-            lines.append(b"content-length: " + str(len(body)).encode())
-        lines.append(
-            b"connection: keep-alive" if keep_alive else b"connection: close"
+        transport = self.transport
+        assert transport is not None
+        if transport.is_closing():
+            return
+        transport.write(_response(status, headers, body, keep_alive))
+        if keep_alive:
+            self._busy = False
+            self._next()
+            return
+        self._busy = self._finished = True
+        self._buffer.clear()
+        if self._eof:
+            transport.close()
+            return
+        transport.write_eof()
+        if not self._reading:
+            self._reading = True
+            transport.resume_reading()
+
+
+class _StdlibBridge:
+    """Minimal HTTP/1.1 server onto :meth:`ServingApp.exchange`.
+
+    Supports exactly what the serving wire protocol needs: JSON bodies
+    framed by ``Content-Length``, keep-alive connections, one request
+    in flight per connection (:class:`_ServerConnection`).  Framing the
+    bridge cannot honour — a malformed request line, an over-long head
+    or a malformed length (400), a chunked upload (411), an over-cap
+    length (413) — is answered with a structured error and the
+    connection closes.
+    """
+
+    def __init__(self, app: ServingApp) -> None:
+        self.app = app
+        self._connections: set = set()
+        self._tasks: set = set()
+
+    async def start(self, sock: socket.socket) -> asyncio.AbstractServer:
+        """Serve on the bound socket ``sock``."""
+        return await asyncio.get_running_loop().create_server(
+            lambda: _ServerConnection(self), sock=sock
         )
-        writer.write(b"\r\n".join(lines) + b"\r\n\r\n" + body)
-        await writer.drain()
+
+    async def drain(self) -> None:
+        """Close every live connection and wait for the requests still
+        running on them (their answers are dropped)."""
+        for connection in list(self._connections):
+            connection.transport.close()
+        if self._tasks:
+            await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
 
 # ----------------------------------------------------------------------
@@ -616,6 +748,66 @@ class ServingFleet:
 # ----------------------------------------------------------------------
 # Client
 # ----------------------------------------------------------------------
+class _ClientConnection(_HttpConnection):
+    """:class:`FleetClient`'s end of one worker socket.
+
+    :meth:`exchange` writes one request and waits for its response; the
+    client's per-worker lock keeps one exchange in flight, so the write
+    buffer never holds more than one request and nothing waits on it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._response: Optional["asyncio.Future[Tuple[str, bytes]]"] = None
+
+    async def exchange(self, request: bytes) -> Tuple[str, bytes]:
+        """``(status line, body)`` of the response to ``request``."""
+        assert self.transport is not None
+        response = self._response = (
+            asyncio.get_running_loop().create_future()
+        )
+        self.transport.write(request)
+        try:
+            return await response
+        except asyncio.CancelledError:
+            # The response would land on the next request.
+            self.transport.close()
+            raise
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        response = self._response
+        if response is None or response.done():
+            return
+        try:
+            message = self._take()
+        except ServingError as exc:
+            response.set_exception(exc)
+            self.close()
+            return
+        if message is None:
+            return
+        start, headers, body = message
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        response.set_result((start, body))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        response = self._response
+        if response is not None and not response.done():
+            response.set_exception(
+                ConnectionResetError("connection closed by worker")
+            )
+
+    def close(self) -> None:
+        assert self.transport is not None
+        self.transport.close()
+
+    @property
+    def live(self) -> bool:
+        return self.transport is not None and not self.transport.is_closing()
+
+
 class FleetClient(_ClientBase):
     """Async client over real sockets, one per fleet worker.
 
@@ -650,9 +842,9 @@ class FleetClient(_ClientBase):
         self.retry_quota = retry_quota
         #: Injectable async sleep (tests pass a fake-clock recorder).
         self._sleep = sleep if sleep is not None else asyncio.sleep
-        self._connections: List[
-            Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = [None] * len(self.addresses)
+        self._connections: List[Optional[_ClientConnection]] = [
+            None
+        ] * len(self.addresses)
         self._locks: List[Optional[asyncio.Lock]] = [None] * len(
             self.addresses
         )
@@ -674,17 +866,16 @@ class FleetClient(_ClientBase):
         return self._rr
 
     # -- transport -------------------------------------------------------
-    async def _connect(
-        self, worker: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    async def _connect(self, worker: int) -> _ClientConnection:
         connection = self._connections[worker]
-        if connection is not None and not connection[1].is_closing():
+        if connection is not None and connection.live:
             return connection
         host, port = self.addresses[worker]
-        reader, writer = await asyncio.open_connection(host, port)
-        _small_reads(writer)
-        self._connections[worker] = (reader, writer)
-        return reader, writer
+        _, connection = await asyncio.get_running_loop().create_connection(
+            _ClientConnection, host, port
+        )
+        self._connections[worker] = connection
+        return connection
 
     def _lock(self, worker: int) -> asyncio.Lock:
         lock = self._locks[worker]
@@ -716,30 +907,17 @@ class FleetClient(_ClientBase):
         ).encode("latin-1") + raw
         async with self._lock(worker):
             for attempt in (0, 1):
-                reader, writer = await self._connect(worker)
+                connection = await self._connect(worker)
                 try:
-                    writer.write(request)
-                    await writer.drain()
-                    head = await _read_head(reader)
-                    if head is None:
-                        raise ConnectionResetError(
-                            "connection closed by worker"
-                        )
-                    status_line, _headers, length = head
-                    response = (
-                        await reader.readexactly(length) if length else b""
+                    status_line, response = await connection.exchange(
+                        request
                     )
                     break
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                    OSError,
-                ):
+                except OSError:
                     # Stale keep-alive (worker restarted, idle timeout):
                     # drop the connection and re-dial exactly once.
                     self._connections[worker] = None
-                    writer.close()
+                    connection.close()
                     if attempt:
                         raise
         return _decode(int(status_line.split(" ", 2)[1]), response)
@@ -797,14 +975,14 @@ class FleetClient(_ClientBase):
     async def close(self) -> None:
         for connection in self._connections:
             if connection is not None:
-                connection[1].close()
+                connection.close()
         self._connections = [None] * len(self.addresses)
 
     def __repr__(self) -> str:
         live = sum(
             1
             for connection in self._connections
-            if connection is not None and not connection[1].is_closing()
+            if connection is not None and connection.live
         )
         return (
             f"FleetClient({len(self.addresses)} workers, "

@@ -140,10 +140,10 @@ class TestFleetServing:
                 response = await client.sweep(
                     dnf(*L1), scenarios, store="main"
                 )
-                _reader, writer = next(
+                connection = next(
                     c for c in client._connections if c is not None
                 )
-                assert writer.transport.max_size == _READ_BYTES
+                assert connection.transport.max_size == _READ_BYTES
             finally:
                 await client.close()
             return response

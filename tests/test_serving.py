@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -592,6 +593,109 @@ class TestIdleFlush:
         stats = serving.stats
         assert (stats.batches, stats.batched_rows) == (1, 2)
         assert stats.idle_flushes == 0
+
+
+class TestEngineThread:
+    """Engine work runs on the loop thread only for a request alone in
+    the engine that finds the engine lock free; otherwise it goes to a
+    worker thread, so the loop keeps serving."""
+
+    ANSWER = ("value", "strategy", "converged", "reason")
+
+    def make(self, served):
+        serving = ServingEngine(
+            served["stores"], ConfidenceEngine(served["registry"])
+        )
+        return serving, ServingClient(serving)
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Every function handed to ``asyncio.to_thread``, in order."""
+        calls = []
+        to_thread = asyncio.to_thread
+
+        def spy(function, *args, **kwargs):
+            calls.append(function)
+            return to_thread(function, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", spy)
+        return calls
+
+    def test_lone_cold_request_runs_inline_like_the_thread(
+        self, served, monkeypatch, threads
+    ):
+        # The threaded answer: the lock is held by another thread for a
+        # moment, so the lone request must hand its work to a thread.
+        serving, client = self.make(served)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with serving._engine_lock:
+                held.set()
+                release.wait(5)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(5)
+
+        async def threaded():
+            task = asyncio.ensure_future(client.evaluate(dnf(*COLD)))
+            while not threads:
+                await asyncio.sleep(0)
+            release.set()
+            return await task
+
+        try:
+            reference = run(asyncio.wait_for(threaded(), 5))
+        finally:
+            release.set()
+            holder.join(5)
+        assert not holder.is_alive()
+        assert len(threads) == 1
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("lone engine work went to a thread")
+
+        monkeypatch.setattr(asyncio, "to_thread", no_thread)
+        serving, client = self.make(served)
+        inline = run(asyncio.wait_for(client.evaluate(dnf(*COLD)), 5))
+        assert inline["strategy"] == "engine"
+        assert {k: inline[k] for k in self.ANSWER} == {
+            k: reference[k] for k in self.ANSWER
+        }
+        compiled = run(
+            client.evaluate(dnf(("x5", "x9"), ("x7",)), overrides={"x5": 0.5})
+        )
+        assert compiled["strategy"] == "engine-compile"
+
+    def test_cold_request_beside_another_uses_the_thread(
+        self, served, threads
+    ):
+        serving = ServingEngine(
+            served["stores"],
+            ConfidenceEngine(served["registry"]),
+            ServingConfig(batch_window_seconds=60.0),
+        )
+        client = ServingClient(serving)
+
+        async def scenario():
+            # The warm request parks on its row first; the cold one
+            # then runs beside it with the engine lock free, so only
+            # the company sends its work to a thread.
+            warm = asyncio.ensure_future(
+                client.evaluate(dnf(*L1), overrides={"x0": 0.3})
+            )
+            cold = asyncio.ensure_future(client.evaluate(dnf(*COLD)))
+            response = await cold
+            assert not warm.done()  # a wave of two: the window holds
+            await serving.close()
+            return response, await warm
+
+        cold, warm = run(asyncio.wait_for(scenario(), 5))
+        assert len(threads) == 1
+        assert cold["strategy"] == "engine"
+        circuit = served["cache"].get(dnf(*L1))
+        assert warm["value"] == circuit.evaluate({"x0": 0.3})
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.serving import (
     ServingError,
 )
 from repro.serving.client import _ClientBase
-from repro.serving.fleet import _StdlibBridge
+from repro.serving.fleet import _StdlibBridge, _bind
 
 OPS = ("evaluate", "bounds", "gradients", "what_if", "sweep", "top_k")
 L1 = (("x0", "x1"), ("x2",), ("x3", "x4"))
@@ -114,17 +114,26 @@ class TestVocabulary:
 # ----------------------------------------------------------------------
 # Framing: raw bytes against the stdlib bridge
 # ----------------------------------------------------------------------
-def raw_exchange(app, request):
-    """Send raw bytes to a bridge on an ephemeral port; read to EOF."""
+def raw_reply(app, request, *, byte_at_a_time=False):
+    """Send raw bytes to a bridge on an ephemeral port, started as a
+    fleet worker starts it; read the reply to EOF."""
 
     async def scenario():
         bridge = _StdlibBridge(app)
-        server = await asyncio.start_server(bridge.handle, "127.0.0.1", 0)
+        server = await bridge.start(_bind("127.0.0.1"))
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         try:
-            writer.write(request)
-            await writer.drain()
+            chunks = (
+                [request[i:i + 1] for i in range(len(request))]
+                if byte_at_a_time
+                else [request]
+            )
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                if byte_at_a_time:
+                    await asyncio.sleep(0)
             return await asyncio.wait_for(reader.read(), 5.0)
         finally:
             writer.close()
@@ -132,10 +141,34 @@ def raw_exchange(app, request):
             await bridge.drain()
             await server.wait_closed()
 
-    raw = run(scenario())
-    head, _, body = raw.partition(b"\r\n\r\n")
+    return run(scenario())
+
+
+def parse_reply(raw):
+    """The first response in ``raw``: status, lower-cased head, JSON
+    body, and the bytes after it."""
+    head, _, rest = raw.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 "), raw
-    return int(head.split()[1]), head.lower(), json.loads(body)
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.lower().split(b"\r\n")
+        if line.startswith(b"content-length:")
+    )
+    return (
+        int(head.split()[1]),
+        head.lower(),
+        json.loads(rest[:length]),
+        rest[length:],
+    )
+
+
+def raw_exchange(app, request, **kwargs):
+    """One response to raw ``request`` bytes: status, head, JSON body."""
+    status, head, payload, rest = parse_reply(
+        raw_reply(app, request, **kwargs)
+    )
+    assert rest == b"", rest
+    return status, head, payload
 
 
 def post(length, body=b""):
@@ -175,6 +208,71 @@ class TestFraming:
         status, _, payload = raw_exchange(app, request)
         assert status == 200
         assert payload["strategy"] == "store"
+
+    def test_malformed_request_line_is_400(self, app):
+        status, head, payload = raw_exchange(app, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert payload["error"]["code"] == "bad-request"
+        assert b"connection: close" in head
+
+    def test_oversized_head_is_400(self, app):
+        request = (
+            b"GET /healthz HTTP/1.1\r\nhost: x\r\nx-pad: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n"
+        )
+        status, head, payload = raw_exchange(app, request)
+        assert status == 400
+        assert payload["error"]["code"] == "bad-request"
+        assert b"connection: close" in head
+
+    def test_pipelined_requests_are_answered_in_order(self, app):
+        first = json.dumps(
+            {"lineage": wire(*L1), "overrides": [["x0", 0.25]]}
+        ).encode()
+        second = json.dumps({"lineage": wire(*L1)}).encode()
+        request = post(str(len(first)).encode(), first) + post(
+            str(len(second)).encode(), second
+        ).replace(b"host: x\r\n", b"host: x\r\nconnection: close\r\n")
+        raw = raw_reply(app, request)
+        status, head, payload, rest = parse_reply(raw)
+        assert status == 200 and b"connection: keep-alive" in head
+        again, head, payload2, rest = parse_reply(rest)
+        assert again == 200 and b"connection: close" in head
+        assert rest == b""
+        direct = [
+            json.loads(run(app.exchange("POST", "/v1/evaluate", body))[2])
+            for body in (first, second)
+        ]
+        assert payload["value"] == direct[0]["value"]
+        assert payload2["value"] == direct[1]["value"]
+        assert payload["value"] != payload2["value"]
+
+    def test_request_written_a_byte_at_a_time(self, app):
+        body = json.dumps({"lineage": wire(*L1)}).encode()
+        request = post(str(len(body)).encode(), body).replace(
+            b"host: x\r\n", b"host: x\r\nconnection: close\r\n"
+        )
+        status, _, payload = raw_exchange(app, request, byte_at_a_time=True)
+        assert status == 200
+        assert payload["strategy"] == "store"
+
+    def test_empty_sweep_answers_no_results(self, app):
+        body = json.dumps(
+            {"lineage": wire(*L1), "scenarios": [], "kind": "values"}
+        ).encode()
+        request = (
+            b"POST /v1/sweep HTTP/1.1\r\nhost: x\r\nconnection: close\r\n"
+            b"content-length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body
+        )
+        status, _, payload = raw_exchange(app, request)
+        assert status == 200
+        assert (payload["results"], payload["scenario_count"]) == ([], 0)
+        in_process = run(
+            asyncio.wait_for(ASGIClient(app).sweep(dnf(*L1), []), 5)
+        )
+        assert in_process["results"] == []
 
 
 # ----------------------------------------------------------------------
